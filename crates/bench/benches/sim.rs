@@ -1,5 +1,5 @@
-//! End-to-end simulation-engine benchmarks: the batched interval pipeline,
-//! the bank-sharded parallel pipeline, and the one-access-at-a-time
+//! End-to-end simulation-engine benchmarks: the bank-sharded interval
+//! drain (in-thread and on 2 workers) and the one-access-at-a-time
 //! reference path, on the same small S-NUCA / CDCS cells the experiment
 //! binaries sweep thousands of times — plus a 1-cell case-study run where
 //! intra-cell sharding is the only available parallelism.
@@ -8,15 +8,16 @@
 //! trajectory files: they previously lived in the `llc` bench (committed as
 //! `BENCH_llc.json`) and now feed `BENCH_sim.json` via `scripts/bench.sh`.
 //! Keep the construction inside `iter` — the baselines were measured that
-//! way, so the rows stay comparable across PRs. `simulation_sharded/*`
-//! rows run the same small cells through the bank-sharded pipeline (2
-//! workers), and `scripts/check_bench_regression.sh` gates both groups
-//! against `simulation_reference/*`. `simulation_case_study/*` records the
-//! serial-vs-sharded wall clock on one big cell (the intra-cell win the
+//! way, so the rows stay comparable across PRs. `simulation/*` rows drain
+//! in-thread (`intra_cell_threads = 0`), `simulation_sharded/*` rows run
+//! the same small cells on 2 workers, and
+//! `scripts/check_bench_regression.sh` gates both groups against
+//! `simulation_reference/*`. `simulation_case_study/*` records the
+//! wall clock per worker count on one big cell (the intra-cell win the
 //! sharding exists for); it is informational, not gated — absolute medians
 //! are machine-dependent.
 
-use cdcs_sim::{EngineMode, Scheme, SimConfig, Simulation};
+use cdcs_sim::{Scheme, SimConfig, Simulation};
 use cdcs_workload::{EventScript, MixSpec, WorkloadMix};
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -54,9 +55,9 @@ fn bench_sim(c: &mut Criterion) {
 }
 
 fn bench_sharded(c: &mut Criterion) {
-    // The bank-sharded pipeline on the same small cells (2 workers). Small
-    // cells are near the break-even point for sharding; the row exists so
-    // the sharded/reference ratio is gated like the batched one.
+    // The drain on the same small cells with 2 workers. Small cells are
+    // near the break-even point for sharding; the row exists so the
+    // multi-worker/reference ratio is gated like the in-thread one.
     let mut group = c.benchmark_group("simulation_sharded");
     group.sample_size(10);
     for scheme in [Scheme::SNuca, Scheme::cdcs()] {
@@ -67,8 +68,8 @@ fn bench_sharded(c: &mut Criterion) {
 
 fn bench_reference(c: &mut Criterion) {
     // The definitional per-access engine, kept for the equivalence golden
-    // test: benchmarked so the batched pipeline's advantage stays visible
-    // in the trajectory file.
+    // test: benchmarked so the drain's advantage stays visible in the
+    // trajectory file.
     let mut group = c.benchmark_group("simulation_reference");
     group.sample_size(10);
     for scheme in [Scheme::SNuca, Scheme::cdcs()] {
@@ -77,18 +78,16 @@ fn bench_reference(c: &mut Criterion) {
     group.finish();
 }
 
-/// The event-driven engine on the same small CDCS cell: `steady` is an
-/// empty script (bit-identical results to `simulation/CDCS` — the row
-/// measures the pure dispatch/gating overhead, which
-/// `scripts/check_bench_regression.sh` bounds against the batched row),
-/// `bursty` runs a seeded generated script so event application itself
-/// stays on the trajectory.
+/// Event scripts on the same small CDCS cell: `steady` is an empty script
+/// (the exact cell `simulation/CDCS` runs — the ratio of the two rows,
+/// which `scripts/check_bench_regression.sh` bounds, is pure noise now
+/// that one loop runs both), `bursty` runs a seeded generated script so
+/// event application itself stays on the trajectory.
 fn run_event_cell(events: EventScript) -> cdcs_sim::SimResult {
     let mut config = SimConfig::small_test();
     config.scheme = Scheme::cdcs();
     config.warmup_epochs = 1;
     config.measure_epochs = 1;
-    config.engine = EngineMode::Event;
     config.events = events;
     let mix = WorkloadMix::from_spec(&MixSpec::Named(vec!["calculix".into(), "milc".into()]))
         .expect("mix");
@@ -109,9 +108,9 @@ fn bench_event(c: &mut Criterion) {
 }
 
 fn bench_case_study(c: &mut Criterion) {
-    // Where sharding pays: one big cell — the batched engine, the
-    // 1-worker sharded pipeline (pure bank-grouped locality, no spawns:
-    // the best configuration on single-core boxes), and 4 shard workers.
+    // Where sharding pays: one big cell, drained in-thread (`serial` = 0
+    // workers and `sharded1` = 1 worker run the same code; both rows stay
+    // for the trajectory) and on 4 workers.
     let mut group = c.benchmark_group("simulation_case_study");
     group.sample_size(10);
     group.bench_function("CDCS-serial", |b| b.iter(|| run_case_study_cell(0)));

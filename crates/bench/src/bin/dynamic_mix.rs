@@ -1,4 +1,4 @@
-//! Dynamic-workload scenario: the event-driven engine running a scripted
+//! Dynamic-workload scenario: the simulator running a scripted
 //! mix — a third app arrives mid-run, one process bursts, another idles,
 //! and the burster departs — under S-NUCA and CDCS.
 //!

@@ -344,7 +344,7 @@ pub fn mega_mesh(report: &ExperimentReport, tiles: usize) {
 /// stop accruing, so the shares are the scenario's signature.
 pub fn dynamic_mix(report: &ExperimentReport) {
     let grid = report.grid();
-    println!("dynamic mix (event engine): chip totals per scheme");
+    println!("dynamic mix (event script): chip totals per scheme");
     println!(
         "{:<10} {:>14} {:>10} {:>10}",
         "scheme", "instructions", "on-chip", "off-chip"
@@ -377,7 +377,7 @@ pub fn dynamic_mix(report: &ExperimentReport) {
 /// Trace replay: per-scheme totals from replaying the recorded logs.
 pub fn trace_replay(report: &ExperimentReport) {
     let grid = report.grid();
-    println!("trace replay (recorded access logs through the batched engine)");
+    println!("trace replay (recorded access logs through the simulator)");
     println!(
         "{:<10} {:>14} {:>10} {:>10}",
         "scheme", "instructions", "on-chip", "off-chip"

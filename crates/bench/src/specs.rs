@@ -396,7 +396,7 @@ pub fn mega_mesh(mixes: usize, apps: usize) -> ExperimentSpec {
     ExperimentSpec::grid("mega_mesh", grid)
 }
 
-/// `bin/dynamic_mix`: the event-driven engine end to end — a two-app base
+/// `bin/dynamic_mix`: a workload event script end to end — a two-app base
 /// mix whose script arrives a third app, bursts, idles, and departs,
 /// under S-NUCA and CDCS.
 ///
@@ -446,6 +446,8 @@ pub fn dynamic_mix() -> ExperimentSpec {
     // the script's indices don't fit; the dynamic scenario reports raw
     // per-thread results instead.
     grid.weighted_speedup = false;
+    // The engine key is inert; it stays so the committed spec and golden
+    // keep their bytes.
     grid.patches = vec![ConfigPatch::named("dynamic")
         .with_engine(EngineMode::Event)
         .with_events(script)
@@ -457,8 +459,7 @@ pub fn dynamic_mix() -> ExperimentSpec {
 }
 
 /// `bin/trace_replay`: trace replay — the committed
-/// `specs/traces/calculix_milc` recording run through S-NUCA and CDCS on
-/// the batched engine.
+/// `specs/traces/calculix_milc` recording run through S-NUCA and CDCS.
 ///
 /// The fixture is recorded by `crates/sim/tests/events.rs`
 /// (`CDCS_WRITE_TRACES=1`) under this exact pinned config with S-NUCA, so

@@ -145,18 +145,6 @@ impl TrafficStats {
         self.messages[s] += 2;
     }
 
-    /// Records pre-aggregated traffic: `flit_hops` flit-hops over
-    /// `messages` messages of one class. Exactly equivalent to any sequence
-    /// of [`Self::record`] calls with the same totals (the counters are
-    /// plain sums) — the engine's run-level fast paths accumulate locally
-    /// and flush once.
-    #[inline]
-    pub fn record_bulk(&mut self, class: TrafficClass, flit_hops: u64, messages: u64) {
-        let s = Self::slot(class);
-        self.flit_hops[s] += flit_hops;
-        self.messages[s] += messages;
-    }
-
     /// Total flit-hops for one class.
     pub fn flit_hops(&self, class: TrafficClass) -> u64 {
         self.flit_hops[Self::slot(class)]

@@ -88,10 +88,10 @@ proptest! {
         }
     }
 
-    // The engine's batched access path reads these tables instead of calling
+    // The engine's interval drain reads these tables instead of calling
     // `mesh.hops` / `noc.round_trip_latency` per access; bit-identical
-    // entries for every pair are what make the batched and reference engines
-    // produce equal results.
+    // entries for every pair are what make the drain and the reference
+    // engine produce equal results.
     #[test]
     fn distance_tables_match_mesh_and_noc(
         cols in 1u16..10, rows in 1u16..10,

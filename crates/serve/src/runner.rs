@@ -24,6 +24,7 @@ use crate::http;
 use crate::job::panic_message;
 use crate::protocol::{LeaseGrant, LeaseResult, PollReply, RegisterReply, RunnerHello};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -152,16 +153,15 @@ impl Runner {
     /// which case the work is abandoned (its unit is already re-queued).
     fn execute(&self, me: &RegisterReply, lease: &LeaseGrant) {
         let lost = AtomicBool::new(false);
-        let done = AtomicBool::new(false);
         // A third of the TTL keeps two full misses inside the window.
         let beat_every = Duration::from_millis((me.lease_ttl_ms / 3).max(10));
+        // Dropping `done` when the work finishes wakes the heartbeat thread
+        // at once, so the result posts without waiting out a beat.
+        let (done, finished) = mpsc::channel::<()>();
         let result = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !done.load(Ordering::SeqCst) {
-                    std::thread::sleep(beat_every);
-                    if done.load(Ordering::SeqCst) {
-                        break;
-                    }
+            let lost = &lost;
+            scope.spawn(move || {
+                while finished.recv_timeout(beat_every) == Err(RecvTimeoutError::Timeout) {
                     let path = format!("/fleet/leases/{}/heartbeat", lease.lease_id);
                     if let Ok(response) = http::request(&self.addr, "POST", &path, &[], Some("{}"))
                     {
@@ -173,7 +173,7 @@ impl Runner {
                 }
             });
             let result = run_lease(lease);
-            done.store(true, Ordering::SeqCst);
+            drop(done);
             result
         });
         if lost.load(Ordering::SeqCst) {

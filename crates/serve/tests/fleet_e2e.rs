@@ -149,6 +149,52 @@ fn ten_runner_fleet_report_is_byte_equal_to_in_process() {
 }
 
 #[test]
+fn a_finished_cell_posts_without_waiting_out_a_heartbeat() {
+    // Default lease TTL, so the runner heartbeats every `lease_ttl / 3`
+    // (1.67 s): a runner that waited out its heartbeat sleep before
+    // posting would take at least that long on any cell.
+    let lease_ttl = FleetConfig::default().lease_ttl;
+    let server = fleet_server(lease_ttl, Duration::from_secs(20), "");
+    let addr = server.addr().to_string();
+    let client = Client::new(addr.clone());
+    let mut spec = cells_spec("quick_cell", &["calculix"]);
+    if let SpecKind::Grid(grid) = &mut spec.kind {
+        grid.patches = vec![cdcs_sim::ConfigPatch::named("tiny")
+            .with_epoch_cycles(60_000)
+            .with_interval_cycles(15_000)
+            .with_warmup_epochs(1)
+            .with_measure_epochs(1)];
+    }
+    // Submit first, so the runner's first poll is granted the cell.
+    let id = client
+        .submit(&serde_json::to_string(&spec).unwrap())
+        .expect("submit");
+    let started = Instant::now();
+    let runner = Runner::new(addr.clone(), "quick").spawn();
+    loop {
+        let status = client.status(id).expect("status");
+        if status.state == JobState::Done {
+            break;
+        }
+        assert!(!status.state.is_terminal(), "job ended {:?}", status.state);
+        assert!(
+            started.elapsed() < lease_ttl,
+            "cell not posted within one lease TTL"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < lease_ttl / 6,
+        "a one-cell job took {elapsed:?}, not well inside the {:?} heartbeat period",
+        lease_ttl / 3
+    );
+    assert_eq!(client.report(id).expect("report"), expected_bytes(&spec));
+    runner.stop();
+    server.shutdown();
+}
+
+#[test]
 fn runner_killed_mid_job_recovers_via_requeue() {
     // Tight windows so revocation and runner expiry land in test time.
     let server = fleet_server(Duration::from_millis(300), Duration::from_millis(600), "");

@@ -132,3 +132,23 @@ fn body_exactly_at_the_cap_is_parsed_not_refused() {
     healthz_ok(&addr);
     server.shutdown();
 }
+
+#[test]
+fn deeply_nested_json_gets_400_and_the_daemon_survives() {
+    // ~3 MB of `[` under the body cap, behind an unknown key the spec
+    // reader skips: unbounded recursion here would overflow the
+    // connection thread's stack and abort the whole process.
+    let server = JobServer::start("127.0.0.1:0", 1).expect("server");
+    let addr = server.addr().to_string();
+    let body = format!("{{\"junk\":{}", "[".repeat(3_000_000));
+    assert!(body.len() < cdcs_serve::http::MAX_BODY);
+    let mut payload = format!(
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    )
+    .into_bytes();
+    payload.extend_from_slice(body.as_bytes());
+    assert_eq!(raw_status(&addr, &payload), 400, "rejected as a bad spec");
+    healthz_ok(&addr);
+    server.shutdown();
+}

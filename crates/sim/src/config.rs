@@ -32,22 +32,18 @@ impl Default for MonitorKind {
     }
 }
 
-/// Which outer run loop drives the simulation.
+/// The value of the inert [`ConfigPatch::engine`] wire field.
 ///
-/// Results from the two loops coincide exactly when the workload is
-/// static: the event engine with an empty [`EventScript`] is bit-identical
-/// to the batched loop (pinned by the `event_engine_golden` tests). The
-/// batched loop stays the steady-state fast path; the event loop adds the
-/// dynamic machinery — mid-run arrivals, departures, bursts, and idle
-/// gaps.
+/// The simulator has one run loop, which always consumes
+/// [`SimConfig::events`] (an empty script is the steady-state run), so
+/// neither value changes a result. The enum stays so committed specs and
+/// reports that carry the key keep parsing and serializing byte-exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EngineMode {
-    /// The steady-state loop: fixed thread roster, no workload events.
+    /// Accepted on the wire; changes nothing.
     #[default]
     Batched,
-    /// The event-driven loop: consumes [`SimConfig::events`] at interval
-    /// granularity; threads join and leave mid-run through the ordinary
-    /// reconfiguration path.
+    /// Accepted on the wire; changes nothing.
     Event,
 }
 
@@ -151,22 +147,21 @@ pub struct SimConfig {
     /// Base RNG seed for the run.
     #[serde(default)]
     pub seed: u64,
-    /// Run the one-access-at-a-time reference engine instead of the batched,
-    /// table-driven pipeline. Results are bit-identical either way (the
-    /// engine-equivalence golden test holds the two paths against each
-    /// other); the reference path exists for that test and as the
+    /// Run the one-access-at-a-time reference engine instead of the
+    /// bank-sharded, table-driven drain. Results are bit-identical either
+    /// way (the engine-equivalence golden test holds the two paths against
+    /// each other); the reference path exists for that test and as the
     /// definitional spec of the access path. Takes precedence over
     /// `intra_cell_threads`.
     #[serde(default)]
     pub reference_engine: bool,
-    /// Worker threads for the bank-sharded intra-cell pipeline; `0`
-    /// (default) runs the single-core batched engine. Results are
-    /// bit-identical for every value — the sharding partitions work by home
-    /// LLC bank and reduces in a fixed index order — so this knob trades
-    /// wall clock only. `1` exercises the full sharded machinery on one
-    /// worker (useful in tests); values above the physical core count just
-    /// oversubscribe. Nested inside [`crate::runner::run_grid`], the outer
-    /// pool clamps it so `outer × inner` stays within the machine.
+    /// Worker threads for the bank-sharded interval drain. `0` (default)
+    /// and `1` both drain in the calling thread. Results are bit-identical
+    /// for every value — the drain partitions work by home LLC bank and
+    /// reduces in a fixed index order — so this knob trades wall clock
+    /// only; values above the physical core count just oversubscribe.
+    /// Nested inside [`crate::runner::run_grid`], the outer pool clamps it
+    /// so `outer × inner` stays within the machine.
     #[serde(default)]
     pub intra_cell_threads: usize,
     /// Region side (in tiles) for hierarchical CDCS planning; `0` (default)
@@ -185,14 +180,9 @@ pub struct SimConfig {
     /// `hier_region_side > 0`.
     #[serde(default)]
     pub hier_change_threshold: f64,
-    /// Which outer run loop drives the simulation. [`EngineMode::Batched`]
-    /// (default) is the steady-state path; [`EngineMode::Event`] consumes
-    /// [`Self::events`] and supports mid-run thread membership changes.
-    #[serde(default)]
-    pub engine: EngineMode,
-    /// Dynamic workload script for the event engine. An empty script (the
-    /// default) leaves the run steady-state — and bit-identical to the
-    /// batched engine. Non-empty scripts require `engine = Event`.
+    /// Dynamic workload script, consumed by [`crate::Simulation::run`] at
+    /// interval granularity. An empty script (the default) leaves the run
+    /// steady-state.
     #[serde(default)]
     pub events: EventScript,
     /// Directory to record per-thread access traces into (record mode
@@ -237,7 +227,6 @@ impl Default for SimConfig {
             intra_cell_threads: 0,
             hier_region_side: 0,
             hier_change_threshold: 0.0,
-            engine: EngineMode::Batched,
             events: EventScript::steady(),
             trace_record: String::new(),
             trace_replay: String::new(),
@@ -260,10 +249,10 @@ impl SimConfig {
     /// A small, fast configuration for tests and doctests: 4×4 chip, short
     /// epochs.
     ///
-    /// `CDCS_INTRA_CELL_THREADS=<n>` forces the bank-sharded pipeline on
-    /// for every test built from this config — results are bit-identical
-    /// either way, so CI runs the whole suite once more with the sharded
-    /// path forced on to prove exactly that.
+    /// `CDCS_INTRA_CELL_THREADS=<n>` sets the drain's worker count for
+    /// every test built from this config — results are bit-identical for
+    /// every count, so CI runs the whole suite once more with 2 workers to
+    /// prove exactly that.
     pub fn small_test() -> Self {
         SimConfig {
             mesh: Mesh::new(4, 4),
@@ -304,10 +293,8 @@ impl SimConfig {
 
     /// A sensible `intra_cell_threads` for a binary running one big cell
     /// at a time: every available core, capped at 8 (shard fan-outs flatten
-    /// past the bank count over a handful of workers). Never returns 0 —
-    /// even on one core the sharded pipeline's in-thread, bank-grouped
-    /// drain measured ~25% faster than the batched engine's interleave on
-    /// the case-study cell, and results are bit-identical regardless.
+    /// past the bank count over a handful of workers). Results are
+    /// bit-identical for every worker count.
     pub fn auto_intra_cell_threads() -> usize {
         std::thread::available_parallelism().map_or(1, |n| n.get().min(8))
     }
@@ -383,18 +370,13 @@ impl SimConfig {
                     .into(),
             );
         }
-        if self.engine == EngineMode::Batched && !self.events.is_empty() {
-            return Err(
-                "a workload event script requires the event engine (engine = Event)".into(),
-            );
-        }
         if !self.trace_record.is_empty() && !self.trace_replay.is_empty() {
             return Err("trace_record and trace_replay are mutually exclusive".into());
         }
-        if !self.trace_replay.is_empty() && self.engine == EngineMode::Event {
+        if !self.trace_replay.is_empty() && !self.events.is_empty() {
             return Err(
                 "trace replay re-issues a recorded steady-state run; it cannot be combined \
-                 with the event engine"
+                 with a workload event script"
                     .into(),
             );
         }
@@ -463,7 +445,9 @@ pub struct ConfigPatch {
     /// Overrides [`SimConfig::hier_change_threshold`].
     #[serde(default)]
     pub hier_change_threshold: Option<f64>,
-    /// Overrides [`SimConfig::engine`].
+    /// Inert: read and written for wire compatibility, never applied (see
+    /// [`EngineMode`]). Committed specs and reports carry the key, so
+    /// dropping it would change their bytes.
     #[serde(default)]
     pub engine: Option<EngineMode>,
     /// Overrides [`SimConfig::events`].
@@ -544,9 +528,6 @@ impl ConfigPatch {
         }
         if let Some(v) = self.hier_change_threshold {
             config.hier_change_threshold = v;
-        }
-        if let Some(v) = self.engine {
-            config.engine = v;
         }
         if let Some(v) = &self.events {
             config.events = v.clone();
@@ -636,7 +617,7 @@ impl ConfigPatch {
         self
     }
 
-    /// Fluent setter for [`SimConfig::engine`].
+    /// Fluent setter for the inert [`Self::engine`] wire field.
     #[must_use]
     pub fn with_engine(mut self, engine: EngineMode) -> Self {
         self.engine = Some(engine);
@@ -754,22 +735,25 @@ mod tests {
     #[test]
     fn dynamic_knobs_default_off_and_tolerate_old_json() {
         let c = SimConfig::default();
-        assert_eq!(c.engine, EngineMode::Batched);
         assert!(c.events.is_empty());
         assert!(c.trace_record.is_empty() && c.trace_replay.is_empty());
-        // Configs serialized before the event engine existed (no dynamic
+        // Configs serialized before the event script existed (no dynamic
         // keys) must still deserialize with the knobs off. The fields are
         // the struct's last, so stripping them from the JSON tail
-        // reconstructs a pre-event-engine artifact exactly.
+        // reconstructs a pre-event-script artifact exactly.
         let json = serde_json::to_string(&c).unwrap();
-        let legacy = json.replace(
-            ",\"engine\":\"Batched\",\"events\":{\"events\":[]},\"trace_record\":\"\",\
-             \"trace_replay\":\"\"",
-            "",
-        );
+        let tail = ",\"events\":{\"events\":[]},\"trace_record\":\"\",\"trace_replay\":\"\"";
+        let legacy = json.replace(tail, "");
         assert_ne!(legacy, json, "expected to strip the dynamic keys");
         let back: SimConfig = serde_json::from_str(&legacy).unwrap();
         assert_eq!(back, c);
+        // Configs written while `SimConfig` still had an `engine` field
+        // keep parsing: the reader skips the removed key.
+        for engine in ["Batched", "Event"] {
+            let old = json.replace(tail, &format!(",\"engine\":\"{engine}\"{tail}"));
+            let back: SimConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(back, c, "engine = {engine}");
+        }
     }
 
     #[test]
@@ -781,16 +765,8 @@ mod tests {
                 event: WorkloadEvent::Departure { process: 0 },
             }],
         };
-        // A script without the event engine is a misconfiguration, not a
-        // silent no-op.
         let c = SimConfig {
             events: script.clone(),
-            ..SimConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("event engine"));
-        let c = SimConfig {
-            engine: EngineMode::Event,
-            events: script,
             ..SimConfig::default()
         };
         assert!(c.validate().is_ok());
@@ -800,12 +776,19 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(c.validate().unwrap_err().contains("mutually exclusive"));
+        // Replay re-issues a recorded steady-state run; a script on top of
+        // it is a misconfiguration, not a silent no-op.
         let c = SimConfig {
-            engine: EngineMode::Event,
+            events: script,
             trace_replay: "out/t/index.json".into(),
             ..SimConfig::default()
         };
-        assert!(c.validate().unwrap_err().contains("replay"));
+        assert!(c.validate().unwrap_err().contains("event script"));
+        let c = SimConfig {
+            trace_replay: "out/t/index.json".into(),
+            ..SimConfig::default()
+        };
+        assert!(c.validate().is_ok());
         let c = SimConfig {
             trace_record: "out/t".into(),
             ..SimConfig::default()
@@ -824,7 +807,6 @@ mod tests {
         assert!(!patch.is_identity());
         let mut c = SimConfig::default();
         patch.apply(&mut c);
-        assert_eq!(c.engine, EngineMode::Event);
         assert_eq!(c.warmup_epochs, 1);
         assert_eq!(c.measure_epochs, 2);
         assert_eq!(c.events, EventScript::generate(3, 100_000, 2));
@@ -833,6 +815,12 @@ mod tests {
         let mut c = SimConfig::default();
         replay.apply(&mut c);
         assert_eq!(c.trace_replay, "specs/t/index.json");
+        // The engine key is inert: applying it changes nothing.
+        for engine in [EngineMode::Batched, EngineMode::Event] {
+            let mut c = SimConfig::default();
+            ConfigPatch::default().with_engine(engine).apply(&mut c);
+            assert_eq!(c, SimConfig::default());
+        }
     }
 
     #[test]

@@ -228,17 +228,6 @@ impl Llc {
         matches!(self.mapping, Mapping::Vtb { .. })
     }
 
-    /// Whether every access to `vc` currently bypasses the LLC (a
-    /// partitioned mapping with no allocation for the VC). Lets the engine
-    /// take a straight-to-memory fast path for whole runs of a streaming
-    /// thread's accesses without consulting the descriptor per access.
-    pub fn vc_bypasses(&self, vc: u32) -> bool {
-        match &self.mapping {
-            Mapping::Vtb { desc, .. } => desc[vc as usize].is_none(),
-            _ => false,
-        }
-    }
-
     /// Routes an access under the current mapping without touching any
     /// state: the home bank, whether it bypasses, and the shadow-window old
     /// bank a miss would consult. Pure — the sharded engine calls this from

@@ -73,10 +73,6 @@ pub fn clamp_intra_cell(config: &SimConfig, pool_workers: usize) -> SimConfig {
     let machine = rayon::current_num_threads();
     let mut cfg = config.clone();
     if cfg.intra_cell_threads > 1 {
-        // Flooring at 1 (not 0 = the batched engine) is deliberate: the
-        // 1-worker shard pipeline drains in-thread with no spawns and its
-        // bank-grouped processing measures faster than the batched engine's
-        // interleaved drain (see `runner::run_grid`).
         cfg.intra_cell_threads = cfg
             .intra_cell_threads
             .min((machine / pool_workers.max(1)).max(1));

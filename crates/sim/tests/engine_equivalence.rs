@@ -1,14 +1,15 @@
-//! Golden test: the batched, table-driven engine produces **bit-identical**
-//! results to the one-access-at-a-time reference path.
+//! Golden test: the bank-sharded, table-driven interval drain produces
+//! **bit-identical** results to the one-access-at-a-time reference path,
+//! for every worker count.
 //!
-//! The batched pipeline (`Simulation::run_interval_batched`) reorders *work*
-//! — stream draws are hoisted per thread, distances come from precomputed
+//! The drain reorders *work* — stream draws are hoisted per thread,
+//! lookups are grouped by home bank, distances come from precomputed
 //! tables, per-access config reads are hoisted per interval — but must not
-//! reorder *effects*: every shared structure (LLC, monitors, memory model,
-//! controller interleave, traffic counters) sees the exact access sequence
-//! the reference path issues. `SimResult` derives `PartialEq` over every
-//! counter, trace point and f64 accumulator, so equality here is exact, not
-//! approximate.
+//! reorder *effects*: every shared structure (LLC banks, monitors, memory
+//! model, controller interleave, traffic counters) sees the exact access
+//! sequence the reference path issues. `SimResult` derives `PartialEq`
+//! over every counter, trace point and f64 accumulator, so equality here
+//! is exact, not approximate.
 
 use cdcs_sim::{MoveScheme, Scheme, SimConfig, SimResult, Simulation};
 use cdcs_workload::{MixSpec, WorkloadMix};
@@ -28,8 +29,8 @@ fn run(config: &SimConfig, names: &[&str], reference: bool) -> SimResult {
 
 fn assert_paths_equal(config: &SimConfig, names: &[&str], what: &str) {
     let reference = run(config, names, true);
-    let batched = run(config, names, false);
-    assert_eq!(reference, batched, "batched path diverged: {what}");
+    let drained = run(config, names, false);
+    assert_eq!(reference, drained, "sharded drain diverged: {what}");
 }
 
 /// ≥3 schemes × 2 mixes, bit-for-bit. The mixes cover single-threaded
@@ -37,7 +38,7 @@ fn assert_paths_equal(config: &SimConfig, names: &[&str], what: &str) {
 /// Global/ProcessShared generation paths and shared-VC monitor interleaving
 /// are exercised too).
 #[test]
-fn batched_engine_matches_reference_across_schemes_and_mixes() {
+fn sharded_drain_matches_reference_across_schemes_and_mixes() {
     let mixes: [&[&str]; 2] = [
         &["calculix", "milc"],
         &["omnet", "xalancbmk", "bzip2", "ilbdc"],
@@ -58,9 +59,9 @@ fn batched_engine_matches_reference_across_schemes_and_mixes() {
 }
 
 /// The movement machinery variants drive the shadow-window / detour code in
-/// `process_access`; pin those too.
+/// `apply_access_result`; pin those too.
 #[test]
-fn batched_engine_matches_reference_across_move_schemes() {
+fn sharded_drain_matches_reference_across_move_schemes() {
     for move_scheme in [
         MoveScheme::Instant,
         MoveScheme::BulkInvalidate,
@@ -83,7 +84,7 @@ fn batched_engine_matches_reference_across_move_schemes() {
 /// `run_trace` drives intervals without epoch logic (the Fig. 17 harness);
 /// it must agree as well.
 #[test]
-fn batched_engine_matches_reference_on_traces() {
+fn sharded_drain_matches_reference_on_traces() {
     let trace = |reference: bool| {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::cdcs();
@@ -96,10 +97,10 @@ fn batched_engine_matches_reference_on_traces() {
 }
 
 /// A config whose intervals are large enough (≥ the engine's in-thread
-/// fall-back threshold, `SHARD_SEQ_THRESHOLD` accesses) that the sharded
-/// pipeline really spawns its fan-outs — otherwise multi-worker configs
-/// would quietly drain on one worker and the test would prove less than
-/// it claims. `assert_forces_fanout` keeps that premise honest.
+/// fall-back threshold, `SHARD_SEQ_THRESHOLD` accesses) that the drain
+/// really spawns its fan-outs — otherwise multi-worker configs would
+/// quietly drain on one worker and the test would prove less than it
+/// claims. `assert_forces_fanout` keeps that premise honest.
 fn sharded_config(scheme: Scheme) -> SimConfig {
     let mut config = SimConfig::small_test();
     config.scheme = scheme;
@@ -129,28 +130,22 @@ fn assert_forces_fanout(r: &SimResult, intervals: u64, what: &str) {
     );
 }
 
-fn run_cfg(config: &SimConfig, names: &[&str], intra_cell_threads: usize) -> SimResult {
+/// `workers` = `None` runs the reference engine.
+fn sim(config: &SimConfig, names: &[&str], workers: Option<usize>) -> Simulation {
     let mut config = config.clone();
-    config.intra_cell_threads = intra_cell_threads;
-    Simulation::new(config, mix(names)).expect("sim").run()
+    config.reference_engine = workers.is_none();
+    config.intra_cell_threads = workers.unwrap_or(0);
+    Simulation::new(config, mix(names)).expect("sim")
 }
 
-fn trace_cfg(config: &SimConfig, names: &[&str], intra_cell_threads: usize) -> SimResult {
-    let mut config = config.clone();
-    config.intra_cell_threads = intra_cell_threads;
-    Simulation::new(config, mix(names))
-        .expect("sim")
-        .run_trace(1, 3)
-}
-
-/// Golden test for the bank-sharded pipeline: across all 4 schemes × both
-/// mixes × both entry points (`run` and `run_trace`) × 1/2/4 shard
-/// threads, results are **bit-identical** to the single-core batched
-/// engine. The partition of work by home bank is fixed by the routes and
-/// the reduction replays the serial drain order, so the worker count can
-/// only change wall clock — this is the test that holds that claim.
+/// Golden test for the worker count: across all 4 schemes × both mixes ×
+/// both entry points (`run` and `run_trace`) × 0/1/2/4 workers, the drain
+/// is **bit-identical** to the reference engine. The partition of work by
+/// home bank is fixed by the routes and the reduction replays the
+/// reference issue order, so the worker count can only change wall clock
+/// — this is the test that holds that claim.
 #[test]
-fn sharded_engine_matches_batched_across_schemes_mixes_and_threads() {
+fn sharded_drain_matches_reference_across_schemes_mixes_and_workers() {
     let mixes: [&[&str]; 2] = [
         &["calculix", "milc"],
         &["omnet", "xalancbmk", "bzip2", "ilbdc"],
@@ -164,21 +159,21 @@ fn sharded_engine_matches_batched_across_schemes_mixes_and_threads() {
     for names in mixes {
         for scheme in schemes {
             let config = sharded_config(scheme);
-            let batched_run = run_cfg(&config, names, 0);
-            let batched_trace = trace_cfg(&config, names, 0);
+            let reference_run = sim(&config, names, None).run();
+            let reference_trace = sim(&config, names, None).run_trace(1, 3);
             // 3 epochs × 1 interval each under `sharded_config`.
-            assert_forces_fanout(&batched_run, 3, &format!("{} / {names:?}", scheme.name()));
-            for threads in [1, 2, 4] {
+            assert_forces_fanout(&reference_run, 3, &format!("{} / {names:?}", scheme.name()));
+            for workers in [0, 1, 2, 4] {
                 assert_eq!(
-                    batched_run,
-                    run_cfg(&config, names, threads),
-                    "sharded run diverged: {} / {names:?} / {threads} threads",
+                    reference_run,
+                    sim(&config, names, Some(workers)).run(),
+                    "sharded run diverged: {} / {names:?} / {workers} workers",
                     scheme.name()
                 );
                 assert_eq!(
-                    batched_trace,
-                    trace_cfg(&config, names, threads),
-                    "sharded run_trace diverged: {} / {names:?} / {threads} threads",
+                    reference_trace,
+                    sim(&config, names, Some(workers)).run_trace(1, 3),
+                    "sharded run_trace diverged: {} / {names:?} / {workers} workers",
                     scheme.name()
                 );
             }
@@ -186,9 +181,9 @@ fn sharded_engine_matches_batched_across_schemes_mixes_and_threads() {
     }
 }
 
-/// Nested parallelism: `run_grid`'s cell-level fan-out with bank-sharded
+/// Nested parallelism: `run_grid`'s cell-level fan-out with multi-worker
 /// cells inside must stay byte-identical to fully serial execution (outer
-/// pool of 1, inner workers 0). The outer pool clamps the inner count on
+/// pool of 1, in-thread drain). The outer pool clamps the inner count on
 /// narrow machines; the clamp must not change results either.
 #[test]
 fn nested_grid_with_sharded_cells_matches_serial() {
@@ -206,7 +201,7 @@ fn nested_grid_with_sharded_cells_matches_serial() {
             cells.push(GridCell::new(scheme, mix(names)));
         }
     }
-    // Serial baseline: no outer fan-out, no inner sharding.
+    // Serial baseline: no outer fan-out, in-thread drain.
     let mut serial_cfg = config.clone();
     serial_cfg.intra_cell_threads = 0;
     let serial = run_grid_serial(&serial_cfg, &cells).expect("serial grid");

@@ -1,13 +1,12 @@
-//! Golden tests for the event-driven engine and trace record/replay.
+//! Golden tests for workload event scripts and trace record/replay.
 //!
 //! Three bit-exactness pins:
 //!
-//! 1. **Steady equivalence** — a steady-rate [`EventScript`] (no events)
-//!    run through the event engine is *bit-identical* to the batched
-//!    engine, across schemes and mixes. The event engine is the batched
-//!    epoch/interval loop plus gates that are provably transparent when
-//!    nothing fires (`x * 1.0` is bitwise `x` for finite IEEE doubles,
-//!    `active` stays true, `idle_until` stays 0).
+//! 1. **Inert engine key** — `ConfigPatch::engine` survives on the wire
+//!    only for byte-exact specs and reports: a patch carrying
+//!    `engine: Batched`, `engine: Event` or no engine key gives the same
+//!    [`SimResult`], steady or scripted, across schemes and mixes, and
+//!    re-serializes to the bytes it was read from.
 //! 2. **Record → replay** — a run recorded with `trace_record` and
 //!    replayed from the trace alone (`trace_replay`, same config)
 //!    reproduces the original [`SimResult`] bit-exactly: the cursor yields
@@ -21,7 +20,7 @@
 //! `specs/traces/calculix_milc` fixture that `specs::trace_replay()` (and
 //! the CI dynamic smoke) replays.
 
-use cdcs_sim::{EngineMode, Scheme, SimConfig, SimResult, Simulation};
+use cdcs_sim::{ConfigPatch, EngineMode, Scheme, SimConfig, SimResult, Simulation};
 use cdcs_workload::{EventScript, MixSpec, TimedEvent, WorkloadEvent, WorkloadMix};
 
 fn mix(names: &[&str]) -> WorkloadMix {
@@ -53,23 +52,45 @@ const FIXTURE_DIR: &str = concat!(
 );
 
 #[test]
-fn steady_event_engine_is_bit_identical_to_batched() {
+fn engine_patch_key_is_inert_and_round_trips_byte_exactly() {
     let mixes: [&[&str]; 2] = [&["calculix", "milc"], &["omnet", "xalancbmk", "ilbdc"]];
-    for names in mixes {
-        for scheme in [Scheme::SNuca, Scheme::cdcs()] {
-            let mut batched = SimConfig::small_test();
-            batched.scheme = scheme;
-            let mut event = batched.clone();
-            event.engine = EngineMode::Event;
-            assert_eq!(event.events, EventScript::steady(), "steady = empty script");
-            let a = run(batched, names);
-            let b = run(event, names);
-            assert_eq!(
-                a,
-                b,
-                "event engine diverged on a steady script: {} / {names:?}",
-                scheme.name()
-            );
+    for script in [EventScript::steady(), dynamic_script()] {
+        let base = ConfigPatch::named("engine-key")
+            .with_epoch_cycles(150_000)
+            .with_interval_cycles(15_000)
+            .with_warmup_epochs(1)
+            .with_measure_epochs(2)
+            .with_events(script);
+        let patches = [
+            base.clone(),
+            base.clone().with_engine(EngineMode::Batched),
+            base.with_engine(EngineMode::Event),
+        ];
+        for names in mixes {
+            for scheme in [Scheme::SNuca, Scheme::cdcs()] {
+                let results: Vec<SimResult> = patches
+                    .iter()
+                    .map(|patch| {
+                        let json = serde_json::to_string(patch).unwrap();
+                        let back: ConfigPatch = serde_json::from_str(&json).unwrap();
+                        assert_eq!(&back, patch);
+                        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+                        let mut config = SimConfig::small_test();
+                        config.scheme = scheme;
+                        back.apply(&mut config);
+                        run(config, names)
+                    })
+                    .collect();
+                for (patch, result) in patches.iter().zip(&results).skip(1) {
+                    assert_eq!(
+                        &results[0],
+                        result,
+                        "engine = {:?} changed the result: {} / {names:?}",
+                        patch.engine,
+                        scheme.name()
+                    );
+                }
+            }
         }
     }
 }
@@ -140,7 +161,6 @@ fn dynamic_script() -> EventScript {
 fn dynamic_config(scheme: Scheme) -> SimConfig {
     let mut config = SimConfig::small_test();
     config.scheme = scheme;
-    config.engine = EngineMode::Event;
     config.events = dynamic_script();
     config.epoch_cycles = 150_000;
     config.interval_cycles = 15_000;
@@ -178,7 +198,6 @@ fn departure_stops_a_thread_for_good() {
     // Depart process 1 during warmup: it must retire nothing measured.
     let mut config = SimConfig::small_test();
     config.scheme = Scheme::cdcs();
-    config.engine = EngineMode::Event;
     config.warmup_epochs = 1;
     config.measure_epochs = 2;
     config.events = EventScript {
@@ -199,13 +218,11 @@ fn idle_gaps_cost_cycles_not_instructions() {
     let steady = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         run(config, &["calculix", "milc"])
     };
     let idled = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         // Idle process 0 for two full measured epochs' worth of cycles.
         config.events = EventScript {
             events: vec![TimedEvent {
@@ -229,7 +246,6 @@ fn rate_bursts_raise_a_processes_access_rate() {
     let burst = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         config.events = EventScript {
             events: vec![TimedEvent {
                 at_cycle: 0,
@@ -245,7 +261,6 @@ fn rate_bursts_raise_a_processes_access_rate() {
     let steady = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         run(config, &["calculix", "milc"])
     };
     assert!(
@@ -263,7 +278,6 @@ fn phase_changes_scale_apki_permanently() {
     let phase = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         config.events = EventScript {
             events: vec![TimedEvent {
                 at_cycle: 0,
@@ -278,7 +292,6 @@ fn phase_changes_scale_apki_permanently() {
     let steady = {
         let mut config = SimConfig::small_test();
         config.scheme = Scheme::SNuca;
-        config.engine = EngineMode::Event;
         run(config, &["calculix", "milc"])
     };
     assert!(phase.threads[0].accesses > steady.threads[0].accesses);

@@ -1,10 +1,9 @@
 //! Timestamped workload events: dynamic scenarios over a base mix.
 //!
-//! Every mix in the steady-state engine is stationary — processes run at a
-//! fixed rate from cycle 0 to the end of the run. The event layer removes
-//! that restriction: an [`EventScript`] is a list of [`TimedEvent`]s that
-//! the event-driven engine (`SimConfig::engine = Event` in `cdcs-sim`)
-//! applies at interval boundaries — apps arrive, burst, idle, change phase,
+//! A bare mix is stationary — processes run at a fixed rate from cycle 0
+//! to the end of the run. The event layer removes that restriction: an
+//! [`EventScript`] is a list of [`TimedEvent`]s that the simulator
+//! (`SimConfig::events` in `cdcs-sim`) applies at interval boundaries — apps arrive, burst, idle, change phase,
 //! and depart mid-run, and partitioned schemes track them through the
 //! ordinary reconfiguration path.
 //!
@@ -88,9 +87,7 @@ pub struct TimedEvent {
 }
 
 /// A dynamic scenario: timestamped events over a base mix. An empty script
-/// is the steady-state workload — the event engine run of an empty script
-/// is bit-identical to the batched engine (pinned by
-/// `crates/sim/tests/events.rs`).
+/// is the steady-state workload.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct EventScript {
     /// The events, in any order; the engine applies them sorted by

@@ -262,8 +262,8 @@ impl TraceCursor {
 
 /// One thread's access source as the engines see it: a synthetic
 /// generator or a replay cursor, with an optional record tap. The API
-/// mirrors [`AccessStream`] exactly so every engine (reference, batched,
-/// sharded) runs unchanged over either backing.
+/// mirrors [`AccessStream`] exactly so both the reference engine and the
+/// sharded drain run unchanged over either backing.
 #[derive(Debug, Clone)]
 pub struct ThreadSource {
     inner: SourceInner,

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Guards the simulation engines against perf regressions using a
-# machine-independent statistic: each `simulation/<scheme>` and
-# `simulation_sharded/<scheme>` row is normalized by the same run's
+# Guards the simulation engine against perf regressions using a
+# machine-independent statistic: each `simulation/<scheme>` (interval
+# drain, in-thread) and `simulation_sharded/<scheme>` (the same drain on 2
+# workers) row is normalized by the same run's
 # `simulation_reference/<scheme>` row (the definitional per-access engine,
-# which shares every non-batching optimization). CI boxes and quick-mode
+# which shares every non-drain optimization). CI boxes and quick-mode
 # sampling shift *absolute* medians by large, noisy factors, but all
 # engines shift together — so the engine/reference ratio is stable, and a
-# pipeline regression (a lost fast path, a reintroduced per-access
+# drain regression (a lost fast path, a reintroduced per-access
 # allocation, a serialized shard phase) shows up as that ratio degrading
 # vs the committed baseline.
 #
@@ -91,11 +92,11 @@ for group in simulation simulation_sharded; do
     done
 done
 
-# Event-engine gate: engages when the baseline carries the event rows.
+# Event-script gate: engages when the baseline carries the event rows.
 # `simulation_event/steady` runs the exact cell `simulation/CDCS` runs —
-# an empty script through the event-driven loop, bit-identical results —
-# so steady/batched is the event engine's pure dispatch-and-gating
-# overhead, machine-independent like the engine/reference ratios above.
+# an empty script through the one run loop, bit-identical results — so
+# the steady/`simulation` ratio bounds the loop's script dispatch and
+# gating, machine-independent like the engine/reference ratios above.
 # `simulation_event/bursty` must exist (it is the trajectory row for
 # event application itself) but is not ratio-gated: a script that bursts
 # and idles legitimately does different work than the steady cell.
