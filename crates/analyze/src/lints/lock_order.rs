@@ -27,14 +27,15 @@ const LINT: &str = "lock-order";
 
 /// The declared acquisition order, outermost first. Derived from the
 /// daemon's layering: the server's job list is the entry point, the
-/// fleet's runner/lease/ring state nests next (its poll path holds
-/// `fleet` while claiming from the rotation — the second deliberate
-/// nesting), the scheduler's rotation coordinates workers, per-job state
-/// nests inside (the running-cell bookkeeping is touch-and-release
-/// around each unit, the phase is the terminal-state gate, and the
-/// assembly is drained *while the phase lock is held* in `try_finalize`
-/// — the other deliberate nesting), and the admission buckets are a leaf
-/// taken on their own.
+/// fleet's runner/lease state ranks next (a held poll waits on the
+/// rotation with no fleet lock held and takes `fleet` only afterwards
+/// to grant, so no path nests the two; the rank keeps any future
+/// nesting one-directional), the scheduler's rotation coordinates
+/// workers, per-job state nests inside (the running-cell bookkeeping is
+/// touch-and-release around each unit, the phase is the terminal-state
+/// gate, and the assembly is drained *while the phase lock is held* in
+/// `try_finalize` — the one deliberate nesting), and the admission
+/// buckets are a leaf taken on their own.
 pub const ORDER: [&str; 7] = [
     "jobs",
     "fleet",

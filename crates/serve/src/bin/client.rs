@@ -89,13 +89,13 @@ fn emit_report(args: &[String], report: &str) -> Result<(), String> {
 /// Renders one fleet snapshot as a runner table plus fleet totals.
 fn print_fleet(fleet: &FleetStatus) {
     println!(
-        "{:>4}  {:<20} {:>7} {:>10} {:>7}",
-        "id", "runner", "leases", "completed", "bucket"
+        "{:>4}  {:<20} {:>7} {:>10}",
+        "id", "runner", "leases", "completed"
     );
     for r in &fleet.runners {
         println!(
-            "{:>4}  {:<20} {:>7} {:>10} {:>7}",
-            r.id, r.name, r.active_leases, r.completed, r.bucket_depth
+            "{:>4}  {:<20} {:>7} {:>10}",
+            r.id, r.name, r.active_leases, r.completed
         );
     }
     println!(

@@ -158,8 +158,8 @@ impl Client {
         self.call("GET", &format!("/jobs/{id}/report"), None)
     }
 
-    /// The remote-runner fleet's live status (runners, routing buckets,
-    /// outstanding leases, lifetime completed/requeued counts).
+    /// The remote-runner fleet's live status (runners, outstanding
+    /// leases, lifetime completed/requeued counts).
     ///
     /// # Errors
     ///

@@ -1,25 +1,24 @@
-//! Fleet coordination: runners, leases, and consistent-hash routing.
+//! Fleet coordination: runners, leases, and held polls.
 //!
 //! The daemon's scheduler already claims cells one at a time from job
 //! sessions — this module turns that claim point into a *worker
 //! protocol*. A [`Fleet`] tracks registered runners, grants each poll one
-//! leased [`WorkUnit`] (routed by a seeded [`HashRing`] so every unit has
-//! one deterministic owner shard), and revokes leases whose heartbeats
-//! stop — re-queueing the unit through the session seam so a dead runner
-//! costs only its in-flight cells. Results flow back through
-//! [`Fleet::result`], which is exactly-once by construction: the lease
-//! table is consulted and cleared under the fleet's single mutex, so a
-//! revoked lease's late result is detectably stale and dropped.
+//! leased [`WorkUnit`], and revokes leases whose heartbeats stop —
+//! re-queueing the unit through the session seam so a dead runner costs
+//! only its in-flight cells. Results flow back through [`Fleet::result`],
+//! which is exactly-once by construction: the lease table is consulted
+//! and cleared under the fleet's single mutex, so a revoked lease's late
+//! result is detectably stale and dropped.
 //!
-//! Routing: a poll first drains the runner's own *bucket* (units claimed
-//! earlier that the ring routed here), then claims fresh units from the
-//! scheduler rotation — fairness-identical to a local pool worker — and
-//! either grants them (routed to the poller) or parks them in the owning
-//! runner's bucket. Buckets are capped; a claim that would overflow one
-//! is un-claimed on the spot (the session re-queues it), bounding
-//! head-of-line blocking behind a slow owner. Runner-side death is
-//! handled one level up: a runner silent past its TTL leaves the ring
-//! and its bucket and leases are re-queued wholesale.
+//! A poll is *held*: it claims through `Scheduler::claim` — the same
+//! fairness step a local pool worker takes — and, when nothing is
+//! claimable, waits on the rotation for up to its hold window (the
+//! `poll_ms` advertised at registration). The first unit that a submit or
+//! a re-queue makes claimable goes straight to a parked poll; only a
+//! window that runs out answers `{"lease":null}`. The unit is leased to
+//! the runner that polled: runners hold no per-key state, so there is
+//! nothing to route. A runner silent past its TTL is expired and its
+//! leases re-queued.
 //!
 //! None of this can change report bytes: every cell's result derives
 //! from `(config, cell)` alone, so *where* a unit runs — and how many
@@ -27,25 +26,20 @@
 //! fleet e2e suite pins byte-equality against the in-process report
 //! under fleet sizes, runner kills, and injected `lose_lease` faults.
 //!
-//! Lock order: `fleet` sits between `jobs` and `rotation` (see
-//! `lints::lock_order::ORDER`) — the poll path holds the fleet mutex
-//! while claiming from the rotation; nothing acquires `fleet` from
-//! inside the scheduler or a job.
+//! Lock order: a poll waits on the rotation with no fleet lock held, then
+//! takes `fleet` briefly to grant, so heartbeats, results, `/fleet` and
+//! the watchdog never queue behind a parked poll. No path nests
+//! `rotation` inside `fleet` (see `lints::lock_order::ORDER`), and
+//! nothing acquires `fleet` from inside the scheduler or a job.
 
 use crate::faults::FaultPlan;
 use crate::job::{Job, LeasePayload, WorkUnit};
 use crate::lease::LeaseTable;
 use crate::protocol::{FleetStatus, LeaseGrant, LeaseResult, RegisterReply, RunnerStatus};
-use crate::ring::{HashRing, DEFAULT_VNODES};
-use crate::scheduler::{run_contained, Scheduler};
-use std::collections::{BTreeMap, VecDeque};
+use crate::scheduler::{run_contained, Claim, Scheduler};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-/// Units parked per runner bucket before the fleet stops claiming on its
-/// behalf: bounds head-of-line blocking behind a slow owner while still
-/// letting a healthy fleet pipeline a few units per runner.
-const BUCKET_CAP: usize = 4;
 
 /// Fleet knobs (all defaultable; the server wires CLI flags through).
 #[derive(Debug, Clone)]
@@ -55,10 +49,6 @@ pub struct FleetConfig {
     /// Liveness window: a runner silent (no poll/beat/result) for this
     /// long is deregistered and its work re-queued.
     pub runner_ttl: Duration,
-    /// Virtual nodes per runner on the routing ring.
-    pub vnodes: usize,
-    /// Ring seed: fixes placement for reproducible routing in tests.
-    pub seed: u64,
 }
 
 impl Default for FleetConfig {
@@ -66,8 +56,6 @@ impl Default for FleetConfig {
         FleetConfig {
             lease_ttl: Duration::from_secs(5),
             runner_ttl: Duration::from_secs(20),
-            vnodes: DEFAULT_VNODES,
-            seed: 0xCDC5_F1EE,
         }
     }
 }
@@ -77,15 +65,12 @@ struct RunnerEntry {
     name: String,
     /// Last poll/heartbeat/result — the liveness clock.
     last_seen: Instant,
-    /// Units the ring routed here, awaiting this runner's next poll.
-    bucket: VecDeque<(Arc<Job>, WorkUnit)>,
     completed: usize,
 }
 
 /// Everything the fleet mutex guards.
 struct FleetState {
     runners: BTreeMap<u64, RunnerEntry>,
-    ring: HashRing,
     leases: LeaseTable,
     next_runner_id: u64,
     completed: usize,
@@ -99,25 +84,23 @@ pub struct Fleet {
     faults: Arc<FaultPlan>,
 }
 
-/// Deferred re-queue work, performed after the fleet lock is released.
-#[derive(Default)]
-struct Deferred {
-    requeue: Vec<(Arc<Job>, WorkUnit)>,
-    finalize: Vec<Arc<Job>>,
+/// Why a poll was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PollError {
+    /// The runner is unknown (expired, possibly while its poll was
+    /// parked, or never registered): it must re-register.
+    Unknown,
+    /// The scheduler stopped: the daemon is shutting down.
+    Stopped,
 }
 
-impl Deferred {
-    /// Applies the deferred actions: units rejoin their sessions and jobs
-    /// re-enter the rotation; drained jobs are finalized through the
-    /// scheduler's containment boundary. Call **without** the fleet lock.
-    fn apply(self, sched: &Scheduler) {
-        for (job, unit) in self.requeue {
-            job.requeue_unit(unit);
-            sched.reenqueue(Arc::clone(&job));
-        }
-        for job in self.finalize {
-            run_contained(&job, None);
-        }
+/// Returns revoked or un-granted units to their sessions and their jobs
+/// to the rotation (waking parked claims). Call **without** the fleet
+/// lock.
+fn requeue(units: Vec<(Arc<Job>, WorkUnit)>, sched: &Scheduler) {
+    for (job, unit) in units {
+        job.requeue_unit(unit);
+        sched.reenqueue(job);
     }
 }
 
@@ -127,7 +110,6 @@ impl Fleet {
         Fleet {
             fleet: Mutex::new(FleetState {
                 runners: BTreeMap::new(),
-                ring: HashRing::new(config.vnodes, config.seed),
                 leases: LeaseTable::new(),
                 next_runner_id: 0,
                 completed: 0,
@@ -145,8 +127,18 @@ impl Fleet {
         self.fleet.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a runner: assigns its id, places it on the ring, and
-    /// returns the protocol knobs it must honor.
+    /// The longest a poll waits for work before answering
+    /// `{"lease":null}` (advertised as `poll_ms`): a fifth of the lease
+    /// TTL within 10–500 ms, and never more than half the runner TTL, so
+    /// a parked runner cannot expire for want of a poll.
+    fn hold(&self) -> Duration {
+        (self.config.lease_ttl / 5)
+            .clamp(Duration::from_millis(10), Duration::from_millis(500))
+            .min(self.config.runner_ttl / 2)
+    }
+
+    /// Registers a runner: assigns its id and returns the protocol knobs
+    /// it must honor.
     pub fn register(&self, name: &str) -> RegisterReply {
         let mut state = self.lock_fleet();
         state.next_runner_id += 1;
@@ -158,99 +150,56 @@ impl Fleet {
                 // lint: allow(determinism) — liveness bookkeeping only;
                 // no result byte depends on wall-clock reads.
                 last_seen: Instant::now(),
-                bucket: VecDeque::new(),
                 completed: 0,
             },
         );
-        state.ring.add(id);
         RegisterReply {
             runner_id: id,
             lease_ttl_ms: self.config.lease_ttl.as_millis() as u64,
-            poll_ms: (self.config.lease_ttl.as_millis() as u64 / 5).clamp(10, 500),
+            poll_ms: self.hold().as_millis() as u64,
         }
     }
 
-    /// Deregisters a runner (graceful exit): removes it from the ring and
-    /// re-queues its bucket and outstanding leases. `false` if unknown.
+    /// Deregisters a runner (graceful exit) and re-queues its outstanding
+    /// leases. `false` if unknown.
     pub fn deregister(&self, runner: u64, sched: &Scheduler) -> bool {
-        let mut deferred = Deferred::default();
-        let known = {
+        let lost = {
             let mut state = self.lock_fleet();
-            match state.runners.remove(&runner) {
-                Some(entry) => {
-                    state.ring.remove(runner);
-                    let lost = entry.bucket.len() + state.leases.active_for(runner);
-                    state.requeued += lost;
-                    deferred.requeue.extend(entry.bucket);
-                    deferred.requeue.extend(
-                        state
-                            .leases
-                            .revoke_runner(runner)
-                            .into_iter()
-                            .map(|l| (l.job, l.unit)),
-                    );
-                    true
-                }
-                None => false,
+            if state.runners.remove(&runner).is_none() {
+                return false;
             }
+            forget(&mut state, runner)
         };
-        deferred.apply(sched);
-        known
+        requeue(lost, sched);
+        true
     }
 
-    /// Handles one poll: refreshes the runner's liveness, then grants at
-    /// most one lease — from its bucket first, else by claiming fresh
-    /// units from the rotation and routing them (see module docs).
-    /// `Err` means the runner is unknown (expired or never registered);
-    /// it must re-register.
-    pub fn poll(&self, runner: u64, sched: &Scheduler) -> Result<Option<LeaseGrant>, String> {
-        let mut deferred = Deferred::default();
-        let grant = {
-            let mut state = self.lock_fleet();
-            if !state.runners.contains_key(&runner) {
-                return Err(format!("unknown runner {runner}; re-register"));
-            }
-            touch(&mut state, runner);
-            let mut grant = None;
-            if let Some((job, unit)) = state
-                .runners
-                .get_mut(&runner)
-                .and_then(|e| e.bucket.pop_front())
-            {
-                grant = Some(self.grant(&mut state, runner, job, unit, &mut deferred));
-            }
-            while grant.is_none() {
-                let outcome = sched.try_claim_unit();
-                deferred.finalize.extend(outcome.drained);
-                let Some((job, unit)) = outcome.claimed else {
-                    break;
-                };
-                let owner = state.ring.route(unit_key(job.id, unit)).unwrap_or(runner);
-                if owner == runner {
-                    grant = Some(self.grant(&mut state, runner, job, unit, &mut deferred));
-                } else {
-                    let bucket = state
-                        .runners
-                        .get_mut(&owner)
-                        .map(|e| &mut e.bucket)
-                        .filter(|b| b.len() < BUCKET_CAP);
-                    match bucket {
-                        Some(bucket) => bucket.push_back((job, unit)),
-                        None => {
-                            // Owner's bucket is full (or the owner raced
-                            // away): un-claim rather than over-buffer, and
-                            // stop scanning — the rotation front is
-                            // blocked on that owner draining.
-                            deferred.requeue.push((job, unit));
-                            break;
-                        }
-                    }
-                }
-            }
-            grant
+    /// Handles one held poll: refreshes the runner's liveness, claims one
+    /// unit — waiting up to the hold window for one to become claimable,
+    /// with no fleet lock held — and leases it to this runner. `Ok(None)`
+    /// means the window ran out. A runner expired while its poll was
+    /// parked gets `Unknown` and its claimed unit is re-queued.
+    pub fn poll(&self, runner: u64, sched: &Scheduler) -> Result<Option<LeaseGrant>, PollError> {
+        if !touch(&mut self.lock_fleet(), runner) {
+            return Err(PollError::Unknown);
+        }
+        let claimed = match sched.claim(Some(Instant::now() + self.hold())) {
+            Claim::Unit(job, unit) => Some((job, unit)),
+            Claim::Empty => None,
+            Claim::Stopped => return Err(PollError::Stopped),
         };
-        deferred.apply(sched);
-        Ok(grant)
+        let mut lost = Vec::new();
+        let reply = {
+            let mut state = self.lock_fleet();
+            if touch(&mut state, runner) {
+                Ok(claimed.map(|(job, unit)| self.grant(&mut state, runner, job, unit, &mut lost)))
+            } else {
+                lost.extend(claimed);
+                Err(PollError::Unknown)
+            }
+        };
+        requeue(lost, sched);
+        reply
     }
 
     /// Builds the lease grant for one unit. An injected `lose_lease`
@@ -263,14 +212,14 @@ impl Fleet {
         runner: u64,
         job: Arc<Job>,
         unit: WorkUnit,
-        deferred: &mut Deferred,
+        lost: &mut Vec<(Arc<Job>, WorkUnit)>,
     ) -> LeaseGrant {
         let doomed = matches!(unit, WorkUnit::Cell(i) if self.faults.on_lease(i));
         let lease_id = state.leases.grant(runner, Arc::clone(&job), unit);
         if doomed {
             state.leases.complete(lease_id);
             state.requeued += 1;
-            deferred.requeue.push((Arc::clone(&job), unit));
+            lost.push((Arc::clone(&job), unit));
         }
         let mut grant = LeaseGrant {
             lease_id,
@@ -340,14 +289,11 @@ impl Fleet {
     /// expires runners silent past the liveness window, re-queueing
     /// everything they held.
     pub fn tick(&self, sched: &Scheduler) {
-        let mut deferred = Deferred::default();
-        {
+        let lost = {
             let mut state = self.lock_fleet();
             let revoked = state.leases.revoke_expired(self.config.lease_ttl);
             state.requeued += revoked.len();
-            deferred
-                .requeue
-                .extend(revoked.into_iter().map(|l| (l.job, l.unit)));
+            let mut lost: Vec<_> = revoked.into_iter().map(|l| (l.job, l.unit)).collect();
             let dead: Vec<u64> = state
                 .runners
                 .iter()
@@ -355,22 +301,12 @@ impl Fleet {
                 .map(|(id, _)| *id)
                 .collect();
             for id in dead {
-                if let Some(entry) = state.runners.remove(&id) {
-                    state.ring.remove(id);
-                    let lost = entry.bucket.len() + state.leases.active_for(id);
-                    state.requeued += lost;
-                    deferred.requeue.extend(entry.bucket);
-                    deferred.requeue.extend(
-                        state
-                            .leases
-                            .revoke_runner(id)
-                            .into_iter()
-                            .map(|l| (l.job, l.unit)),
-                    );
-                }
+                state.runners.remove(&id);
+                lost.extend(forget(&mut state, id));
             }
-        }
-        deferred.apply(sched);
+            lost
+        };
+        requeue(lost, sched);
     }
 
     /// Fleet-wide observability counters.
@@ -385,7 +321,6 @@ impl Fleet {
                     name: entry.name.clone(),
                     active_leases: state.leases.active_for(*id),
                     completed: entry.completed,
-                    bucket_depth: entry.bucket.len(),
                 })
                 .collect(),
             active_leases: state.leases.active(),
@@ -395,21 +330,69 @@ impl Fleet {
     }
 }
 
-/// Refreshes a runner's liveness clock.
-fn touch(state: &mut FleetState, runner: u64) {
-    if let Some(entry) = state.runners.get_mut(&runner) {
-        // lint: allow(determinism) — liveness bookkeeping only.
-        entry.last_seen = Instant::now();
+/// Refreshes a runner's liveness clock. `false` if the runner is unknown.
+fn touch(state: &mut FleetState, runner: u64) -> bool {
+    match state.runners.get_mut(&runner) {
+        Some(entry) => {
+            // lint: allow(determinism) — liveness bookkeeping only.
+            entry.last_seen = Instant::now();
+            true
+        }
+        None => false,
     }
 }
 
-/// The ring key for one unit of one job: full-width mix of job id and
-/// cell index (inline units use a sentinel index), so consecutive cells
-/// of one job spread across the whole fleet.
-fn unit_key(job_id: u64, unit: WorkUnit) -> u64 {
-    let index = match unit {
-        WorkUnit::Cell(i) => i as u64,
-        WorkUnit::Inline => u64::MAX,
-    };
-    job_id.rotate_left(32) ^ index
+/// Revokes every lease a departed runner held, counting them as
+/// re-queued, and returns their units for [`requeue`].
+fn forget(state: &mut FleetState, runner: u64) -> Vec<(Arc<Job>, WorkUnit)> {
+    let revoked = state.leases.revoke_runner(runner);
+    state.requeued += revoked.len();
+    revoked.into_iter().map(|l| (l.job, l.unit)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fleet(lease_ttl_ms: u64, runner_ttl_ms: u64) -> Fleet {
+        let config = FleetConfig {
+            lease_ttl: Duration::from_millis(lease_ttl_ms),
+            runner_ttl: Duration::from_millis(runner_ttl_ms),
+        };
+        Fleet::new(config, Arc::new(FaultPlan::default()))
+    }
+
+    #[test]
+    fn the_hold_is_a_fifth_of_the_lease_ttl_and_at_most_half_the_runner_ttl() {
+        for (lease, runner, hold) in [
+            (5_000, 20_000, 500),
+            (2_000, 20_000, 400),
+            (300, 600, 60),
+            (20, 20_000, 10),
+            (5_000, 400, 200),
+        ] {
+            let fleet = fleet(lease, runner);
+            assert_eq!(
+                fleet.hold(),
+                Duration::from_millis(hold),
+                "{lease}/{runner}"
+            );
+            assert_eq!(fleet.register("r").poll_ms, hold, "advertised as poll_ms");
+        }
+    }
+
+    #[test]
+    fn polls_from_unknown_runners_and_on_a_stopped_scheduler_answer_at_once() {
+        let fleet = fleet(5_000, 20_000);
+        let sched = Scheduler::new();
+        let started = Instant::now();
+        assert_eq!(fleet.poll(7, &sched), Err(PollError::Unknown));
+        let me = fleet.register("r").runner_id;
+        sched.stop();
+        assert_eq!(fleet.poll(me, &sched), Err(PollError::Stopped));
+        assert!(
+            started.elapsed() < fleet.hold() / 2,
+            "neither poll may wait out the hold"
+        );
+    }
 }

@@ -41,7 +41,6 @@ pub mod http;
 pub mod job;
 pub mod lease;
 pub mod protocol;
-pub mod ring;
 pub mod runner;
 pub mod scheduler;
 pub mod server;

@@ -94,13 +94,15 @@ pub struct RunnerHello {
 /// it must honor.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RegisterReply {
-    /// Server-assigned runner id (also its consistent-hash ring identity).
+    /// Server-assigned runner id.
     #[serde(default)]
     pub runner_id: u64,
     /// Heartbeat window: a lease unbeaten for this long is revoked.
     #[serde(default)]
     pub lease_ttl_ms: u64,
-    /// Suggested idle poll interval.
+    /// The longest the daemon holds an empty poll: a poll waits up to
+    /// this long for work before answering `{"lease":null}`, so a runner
+    /// re-polls at once instead of sleeping.
     #[serde(default)]
     pub poll_ms: u64,
 }
@@ -108,7 +110,8 @@ pub struct RegisterReply {
 /// Reply to `POST /fleet/runners/<id>/poll`.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PollReply {
-    /// The granted lease, or `None` when no work routed here right now.
+    /// The granted lease, or `None` when no work became claimable within
+    /// the hold window.
     #[serde(default)]
     pub lease: Option<LeaseGrant>,
 }
@@ -200,9 +203,6 @@ pub struct RunnerStatus {
     /// Units it has completed.
     #[serde(default)]
     pub completed: usize,
-    /// Units parked in its routing bucket awaiting its next poll.
-    #[serde(default)]
-    pub bucket_depth: usize,
 }
 
 #[cfg(test)]
@@ -261,6 +261,28 @@ mod tests {
         assert_eq!(empty, LeaseResult::default());
         let empty: FleetStatus = serde_json::from_str("{}").unwrap();
         assert_eq!(empty, FleetStatus::default());
+    }
+
+    #[test]
+    fn fleet_status_from_a_daemon_that_still_reports_bucket_depth_parses() {
+        // Daemons with the consistent-hash ring reported each runner's
+        // routing bucket; the field is gone and must be skipped.
+        let old = r#"{"runners":[{"id":1,"name":"r0","active_leases":1,"completed":4,"bucket_depth":2}],"active_leases":1,"completed":4,"requeued":0}"#;
+        let status: FleetStatus = serde_json::from_str(old).unwrap();
+        assert_eq!(
+            status,
+            FleetStatus {
+                runners: vec![RunnerStatus {
+                    id: 1,
+                    name: "r0".into(),
+                    active_leases: 1,
+                    completed: 4,
+                }],
+                active_leases: 1,
+                completed: 4,
+                requeued: 0,
+            }
+        );
     }
 
     #[test]

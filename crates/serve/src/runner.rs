@@ -5,6 +5,9 @@
 //! shipped `(config, cell)` — the *same entry point* a local session
 //! worker uses, so the result is bit-identical — or a whole analysis
 //! spec via `spec.run()`), heartbeat while working, and post the result.
+//! The daemon holds an empty poll for up to `poll_ms`, so an idle runner
+//! re-polls at once instead of sleeping, and a submitted cell starts
+//! without waiting out a poll period.
 //! A heartbeat answered `410 Gone` means the lease was revoked (the
 //! daemon re-queued the unit): the runner abandons the work and polls
 //! again. A `404` from poll means the daemon expired this runner (or
@@ -47,7 +50,8 @@ pub struct RunnerHandle {
 }
 
 impl RunnerHandle {
-    /// Signals the loop to stop (it deregisters gracefully) and joins it.
+    /// Signals the loop to stop (it deregisters gracefully) and joins it;
+    /// a poll parked at the daemon returns within one hold window.
     pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
         let _ = self.thread.join();
@@ -96,10 +100,8 @@ impl Runner {
                     failures = 0;
                     self.execute(&me, &lease);
                 }
-                Ok(None) => {
-                    failures = 0;
-                    std::thread::sleep(Duration::from_millis(me.poll_ms.max(1)));
-                }
+                // The daemon held the poll for its whole window: re-poll.
+                Ok(None) => failures = 0,
                 Err(PollFailure::Forgotten) => identity = None,
                 Err(PollFailure::Transport) => {
                     failures += 1;
@@ -197,7 +199,8 @@ impl Runner {
 enum PollFailure {
     /// The daemon does not know this runner id: re-register.
     Forgotten,
-    /// Transport or server trouble: back off and retry.
+    /// Transport or server trouble (including `503` from a daemon that is
+    /// shutting down): back off and retry.
     Transport,
 }
 

@@ -12,6 +12,12 @@
 //! Claims are recorded in a log (job ids, in claim order) so fairness is
 //! observable and testable without timing assumptions.
 //!
+//! One claim function (`Scheduler::claim`) serves both kinds of worker:
+//! a pool worker waits for work with no deadline, a fleet poll
+//! ([`crate::fleet`]) waits until its hold window ends. Either way the
+//! wait is on the rotation `Condvar`, so `enqueue`/`reenqueue` hands new
+//! work to a waiting claimant at once.
+//!
 //! Workers are expendable-proof: the whole execute/finalize step runs
 //! inside `catch_unwind`, so an unwind that escapes the per-cell panic
 //! boundary fails *that job* (with the captured message) and the worker
@@ -26,6 +32,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 #[derive(Default)]
 struct Rotation {
@@ -34,14 +41,6 @@ struct Rotation {
 }
 
 /// The shared scheduler: rotation + pool wake-up.
-/// One non-blocking claim attempt: at most one claimed unit, plus the
-/// jobs drained from the rotation (empty claims) that the caller must
-/// finalize *outside* its own locks.
-pub(crate) struct ClaimOutcome {
-    pub claimed: Option<(Arc<Job>, WorkUnit)>,
-    pub drained: Vec<Arc<Job>>,
-}
-
 pub struct Scheduler {
     rotation: Mutex<Rotation>,
     cv: Condvar,
@@ -49,14 +48,14 @@ pub struct Scheduler {
     draining: AtomicBool,
 }
 
-/// What a worker got from one rotation pop.
-enum Pop {
-    /// Pool is shutting down.
-    Shutdown,
+/// What one `Scheduler::claim` got.
+pub(crate) enum Claim {
     /// A claimed unit of `job`'s work (job already re-queued).
-    Task(Arc<Job>, WorkUnit),
-    /// `job` had nothing to claim and left the rotation.
-    Drained(Arc<Job>),
+    Unit(Arc<Job>, WorkUnit),
+    /// Nothing became claimable before the deadline.
+    Empty,
+    /// The scheduler stopped, or is draining with an empty rotation.
+    Stopped,
 }
 
 impl Scheduler {
@@ -70,15 +69,15 @@ impl Scheduler {
         }
     }
 
-    /// Adds a job to the rotation and wakes the pool.
+    /// Adds a job to the rotation and wakes every waiting claim.
     pub fn enqueue(&self, job: Arc<Job>) {
         let mut rotation = self.lock();
         rotation.queue.push_back(job);
         self.cv.notify_all();
     }
 
-    /// Stops the pool: blocked workers wake and exit; running cells finish;
-    /// queued cells are abandoned.
+    /// Stops the pool: blocked claims wake and return; running cells
+    /// finish; queued cells are abandoned.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         let _rotation = self.lock();
@@ -96,44 +95,6 @@ impl Scheduler {
     /// The claim sequence so far (job ids, in claim order).
     pub fn claim_log(&self) -> Vec<u64> {
         self.lock().claim_log.clone()
-    }
-
-    /// Non-blocking single-unit claim for the fleet lease path: scans the
-    /// rotation once (at most one full lap), claiming one unit from the
-    /// first job that has work — exactly the fairness step a pool worker
-    /// takes, so fleet leases and local workers interleave jobs
-    /// identically. Jobs whose claim comes back empty leave the rotation
-    /// and are returned as `drained` for the caller to finalize *outside*
-    /// its own locks.
-    pub(crate) fn try_claim_unit(&self) -> ClaimOutcome {
-        let mut drained = Vec::new();
-        if self.shutdown.load(Ordering::SeqCst) {
-            return ClaimOutcome {
-                claimed: None,
-                drained,
-            };
-        }
-        let mut rotation = self.lock();
-        for _ in 0..rotation.queue.len() {
-            let Some(job) = rotation.queue.pop_front() else {
-                break;
-            };
-            match job.try_claim() {
-                Some(unit) => {
-                    rotation.claim_log.push(job.id);
-                    rotation.queue.push_back(Arc::clone(&job));
-                    return ClaimOutcome {
-                        claimed: Some((job, unit)),
-                        drained,
-                    };
-                }
-                None => drained.push(job),
-            }
-        }
-        ClaimOutcome {
-            claimed: None,
-            drained,
-        }
     }
 
     /// Returns a job to the rotation after a revoked lease re-queued some
@@ -159,43 +120,71 @@ impl Scheduler {
     }
 
     fn worker_loop(&self) {
-        loop {
-            match self.pop() {
-                Pop::Shutdown => return,
-                Pop::Drained(job) => run_contained(&job, None),
-                Pop::Task(job, unit) => run_contained(&job, Some(unit)),
-            }
+        while let Claim::Unit(job, unit) = self.claim(None) {
+            run_contained(&job, Some(unit));
         }
     }
 
-    /// Pops one job and claims one unit from it (see module docs). Blocks
-    /// while the rotation is empty (unless draining or shut down).
-    fn pop(&self) -> Pop {
+    /// The one claim path, shared by pool workers and fleet polls: pops
+    /// jobs off the rotation front (at most one lap per look) and claims
+    /// **one** unit from the first that has work (see module docs). Jobs
+    /// whose claim comes back empty leave the rotation and are finalized
+    /// *outside* the rotation lock before the claim returns. With the
+    /// rotation empty, the claim waits on the rotation `Condvar` until
+    /// `enqueue`/`reenqueue` adds work, the scheduler stops, or
+    /// `deadline` passes (`None` waits for work or a stop).
+    pub(crate) fn claim(&self, deadline: Option<Instant>) -> Claim {
+        let mut drained = Vec::new();
         let mut rotation = self.lock();
         loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return Pop::Shutdown;
+            if !drained.is_empty() {
+                drop(rotation);
+                finalize(&mut drained);
+                rotation = self.lock();
             }
-            if let Some(job) = rotation.queue.pop_front() {
-                return match job.try_claim() {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Claim::Stopped;
+            }
+            for _ in 0..rotation.queue.len() {
+                let Some(job) = rotation.queue.pop_front() else {
+                    break;
+                };
+                match job.try_claim() {
                     Some(unit) => {
                         rotation.claim_log.push(job.id);
                         rotation.queue.push_back(Arc::clone(&job));
-                        Pop::Task(job, unit)
+                        drop(rotation);
+                        finalize(&mut drained);
+                        return Claim::Unit(job, unit);
                     }
-                    None => Pop::Drained(job),
-                };
+                    None => drained.push(job),
+                }
+            }
+            if !drained.is_empty() {
+                continue;
             }
             if self.draining.load(Ordering::SeqCst) {
                 // Draining and the rotation is empty: every queued cell
                 // has been claimed (in-flight ones finish on their own
                 // workers). Done.
-                return Pop::Shutdown;
+                return Claim::Stopped;
             }
-            rotation = self
-                .cv
-                .wait(rotation)
-                .unwrap_or_else(PoisonError::into_inner);
+            rotation = match deadline {
+                None => self
+                    .cv
+                    .wait(rotation)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Claim::Empty;
+                    }
+                    self.cv
+                        .wait_timeout(rotation, deadline - now)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
         }
     }
 
@@ -207,10 +196,17 @@ impl Scheduler {
     }
 }
 
+/// Finalizes jobs that left the rotation with nothing left to claim.
+fn finalize(drained: &mut Vec<Arc<Job>>) {
+    for job in drained.drain(..) {
+        run_contained(&job, None);
+    }
+}
+
 /// Runs one claimed unit (or just finalization) with last-resort panic
 /// containment: an unwind is converted into the job's failure instead of
-/// the worker's death. `pub(crate)` because the fleet's result/revocation
-/// paths finalize jobs through the same boundary.
+/// the worker's death. `pub(crate)` because the fleet's result path
+/// finalizes jobs through the same boundary.
 pub(crate) fn run_contained(job: &Arc<Job>, unit: Option<WorkUnit>) {
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(unit) = unit {
@@ -230,5 +226,54 @@ pub(crate) fn run_contained(job: &Arc<Job>, unit: Option<WorkUnit>) {
 impl Default for Scheduler {
     fn default() -> Self {
         Scheduler::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn claim_honours_its_deadline_and_returns_at_once_on_stop() {
+        let sched = Arc::new(Scheduler::new());
+        let window = Duration::from_millis(100);
+        let started = Instant::now();
+        assert!(matches!(sched.claim(Some(started + window)), Claim::Empty));
+        let waited = started.elapsed();
+        assert!(
+            waited >= window && waited < window + Duration::from_secs(2),
+            "an empty claim with a {window:?} deadline returned after {waited:?}"
+        );
+
+        // A pool worker's claim (no deadline) and a fleet poll's (a far
+        // deadline) both wake on stop.
+        let parked: Vec<_> = [None, Some(Instant::now() + Duration::from_secs(60))]
+            .into_iter()
+            .map(|deadline| {
+                let sched = Arc::clone(&sched);
+                std::thread::spawn(move || {
+                    let claim = sched.claim(deadline);
+                    (matches!(claim, Claim::Stopped), Instant::now())
+                })
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        let stopped = Instant::now();
+        sched.stop();
+        for handle in parked {
+            let (was_stopped, returned) = handle.join().expect("claim thread");
+            assert!(was_stopped, "a parked claim must see the stop");
+            let after = returned.saturating_duration_since(stopped);
+            assert!(after < Duration::from_secs(1), "woke {after:?} after stop");
+        }
+
+        // On a stopped scheduler a claim does not wait at all.
+        let started = Instant::now();
+        assert!(matches!(
+            sched.claim(Some(started + Duration::from_secs(60))),
+            Claim::Stopped
+        ));
+        assert!(started.elapsed() < Duration::from_secs(1));
     }
 }

@@ -21,9 +21,11 @@
 //!
 //! * `POST /fleet/runners` — register; body [`RunnerHello`], reply
 //!   [`crate::protocol::RegisterReply`] with the lease TTL to honor.
-//! * `POST /fleet/runners/<id>/poll` — lease at most one unit of work.
-//! * `DELETE /fleet/runners/<id>` — graceful deregistration (held work
-//!   re-queues immediately).
+//! * `POST /fleet/runners/<id>/poll` — lease at most one unit of work,
+//!   waiting up to the advertised `poll_ms` for one (`{"lease":null}`
+//!   when none came; `503` + `Retry-After` while shutting down).
+//! * `DELETE /fleet/runners/<id>` — graceful deregistration (held
+//!   leases re-queue immediately).
 //! * `POST /fleet/leases/<id>/heartbeat` — keep a lease alive; `410` once
 //!   the lease is revoked (abandon the work).
 //! * `POST /fleet/leases/<id>/result` — deliver a lease's result; `410`
@@ -40,7 +42,7 @@
 
 use crate::admission::{Admission, TenantLimit, DEFAULT_TENANT};
 use crate::faults::{ConnFault, FaultPlan};
-use crate::fleet::{Fleet, FleetConfig};
+use crate::fleet::{Fleet, FleetConfig, PollError};
 use crate::http::{read_request, write_response, Request, RequestError};
 use crate::job::{Job, JobOptions};
 use crate::protocol::{
@@ -74,7 +76,7 @@ pub struct ServerConfig {
     pub cell_timeout: Option<Duration>,
     /// Fault-injection plan (empty by default).
     pub faults: Arc<FaultPlan>,
-    /// Runner-fleet knobs (lease/runner TTLs, ring shape).
+    /// Runner-fleet knobs (lease/runner TTLs).
     pub fleet: FleetConfig,
 }
 
@@ -452,7 +454,12 @@ impl ServerState {
             ("POST", ["fleet", "runners", id, "poll"]) => {
                 with_id(id, "runner", |id| match self.fleet.poll(id, &self.sched) {
                     Ok(lease) => Reply::json(&PollReply { lease }),
-                    Err(message) => Reply::error(404, "Not Found", &message),
+                    Err(PollError::Unknown) => Reply::error(
+                        404,
+                        "Not Found",
+                        &format!("unknown runner {id}; re-register"),
+                    ),
+                    Err(PollError::Stopped) => Reply::unavailable(),
                 })
             }
             ("DELETE", ["fleet", "runners", id]) => with_id(id, "runner", |id| {
@@ -552,7 +559,7 @@ impl ServerState {
 
     fn post_runner(&self, request: &Request) -> Reply {
         if self.stopping.load(Ordering::SeqCst) {
-            return Reply::error(503, "Service Unavailable", "daemon is shutting down");
+            return Reply::unavailable();
         }
         let hello: RunnerHello = if request.body.is_empty() {
             RunnerHello::default()
@@ -625,6 +632,13 @@ impl Reply {
             headers: Vec::new(),
             body: serde_json::to_string(value).expect("reply serializes"),
         }
+    }
+
+    /// `503` + `Retry-After`: the daemon is shutting down; back off.
+    fn unavailable() -> Reply {
+        let mut reply = Reply::error(503, "Service Unavailable", "daemon is shutting down");
+        reply.headers.push(("Retry-After", "1".into()));
+        reply
     }
 
     fn error(status: u16, reason: &'static str, message: &str) -> Reply {
