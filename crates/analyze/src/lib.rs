@@ -10,7 +10,7 @@
 //!
 //! | lint | invariant |
 //! |------|-----------|
-//! | `determinism` | no `HashMap`/`HashSet`/`Instant::now`/`SystemTime`/`thread::current` in result-affecting crates |
+//! | `determinism` | no `HashMap`/`HashSet`/`Instant::now`/`SystemTime`/`thread::current`/`std::fs` in result-affecting crates |
 //! | `panic-freedom` | no `.lock().unwrap()`-style poison panics in `cdcs-serve` |
 //! | `zero-alloc` | no allocation inside `lint: zero-alloc` fences (the `plan_into` call graph) |
 //! | `lock-order` | `cdcs-serve` mutexes acquired in one declared order |

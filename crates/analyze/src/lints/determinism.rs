@@ -14,6 +14,10 @@
 //!   LLC's choice) or `BTreeMap`/`BTreeSet` (ordered by construction).
 //! * **Wall-clock and thread identity.** `Instant::now`, `SystemTime`, and
 //!   `std::thread::current` leak the machine into the computation.
+//! * **File I/O.** A `std::fs` read makes a result depend on more than
+//!   `(config, seed)`, and a write is a side effect no result crate
+//!   should have. The trace loader and writer are the one waived
+//!   exception (`workload/src/trace.rs`).
 //!
 //! Scope: non-test lines of the result crates. Waive with
 //! `lint: allow(determinism) — <why the use cannot reach a result>`.
@@ -33,6 +37,11 @@ fn diag(file: &SourceFile, line: u32, message: String, out: &mut Vec<Diagnostic>
     });
 }
 
+/// `toks[j..]` starts with `::`.
+fn path_sep_at(toks: &[Tok], j: usize) -> bool {
+    toks.get(j).is_some_and(|t| t.is_punct(':')) && toks.get(j + 1).is_some_and(|t| t.is_punct(':'))
+}
+
 /// `toks[i..]` starts with the given idents separated by `::`.
 fn path_seq(toks: &[Tok], i: usize, segs: &[&str]) -> bool {
     let mut j = i;
@@ -42,9 +51,7 @@ fn path_seq(toks: &[Tok], i: usize, segs: &[&str]) -> bool {
         }
         j += 1;
         if k + 1 < segs.len() {
-            if !(toks.get(j).is_some_and(|t| t.is_punct(':'))
-                && toks.get(j + 1).is_some_and(|t| t.is_punct(':')))
-            {
+            if !path_sep_at(toks, j) {
                 return false;
             }
             j += 2;
@@ -87,6 +94,15 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 "`SystemTime` reads the wall clock inside a result-affecting crate".to_string(),
                 out,
             );
+        } else if t.is_ident("fs")
+            && (path_sep_at(toks, i + 1) || i >= 3 && path_seq(toks, i - 3, &["std", "fs"]))
+        {
+            diag(
+                file,
+                t.line,
+                "`std::fs` file I/O inside a result-affecting crate".to_string(),
+                out,
+            );
         } else if path_seq(toks, i, &["thread", "current"]) {
             diag(
                 file,
@@ -95,5 +111,35 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 out,
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::analyze_source_as;
+
+    fn lines(crate_name: &str, src: &str) -> Vec<u32> {
+        let only = vec!["determinism".to_string()];
+        analyze_source_as("src/x.rs", crate_name, src, Some(&only))
+            .iter()
+            .map(|d| d.line)
+            .collect()
+    }
+
+    #[test]
+    fn file_io_is_flagged_in_result_crates_unless_waived_or_in_tests() {
+        let src = "use std::fs;\n\
+                   fn a() { let _ = std::fs::read(\"x\"); }\n\
+                   fn b() { fs::write(\"x\", b\"\").ok(); }\n\
+                   // lint: allow(determinism) — writes an artifact, never read back\n\
+                   fn c() { std::fs::write(\"x\", b\"\").ok(); }\n\
+                   fn d(fs: u32) -> u32 { fs + 1 }\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                       fn e() { std::fs::remove_file(\"x\").ok(); }\n\
+                   }\n";
+        assert_eq!(lines("workload", src), [1, 2, 3]);
+        // Orchestration crates may touch files.
+        assert!(lines("serve", src).is_empty());
     }
 }

@@ -533,13 +533,23 @@ impl GridSpec {
     ///
     /// # Errors
     ///
-    /// Rejects empty axes and propagates mix-materialization errors.
+    /// Rejects empty axes and patches that set the inert `trace_record` key,
+    /// and propagates mix-materialization errors.
     pub fn expand(&self) -> Result<ExpandedGrid, String> {
         if self.schemes.is_empty() {
             return Err("experiment declares no schemes".into());
         }
         if self.mixes.is_empty() {
             return Err("experiment declares no mixes".into());
+        }
+        // `trace_record` survives only as a wire key: a patch that sets it
+        // asks for a recording no cell would make, so it is refused.
+        if let Some(patch) = self.patches.iter().find(|p| p.trace_record.is_some()) {
+            return Err(format!(
+                "patch {:?} sets trace_record, which records nothing: record a finished run \
+                 with cdcs_workload::trace::record and write_trace",
+                patch.display_label()
+            ));
         }
         let mut config = self.base.config();
         if self.auto_intra_cell {
@@ -776,6 +786,22 @@ mod tests {
             grid.cells[grid.groups[0].rows[1].cell].result,
             grid.cells[grid.groups[1].rows[1].cell].result
         );
+    }
+
+    #[test]
+    fn expansion_refuses_patches_that_set_trace_record() {
+        let mut spec = two_scheme_spec();
+        if let SpecKind::Grid(grid) = &mut spec.kind {
+            // `null` (the committed specs' value) is accepted.
+            grid.patches = vec![ConfigPatch::named("null-key")];
+            assert!(grid.expand().is_ok());
+            grid.patches.push(ConfigPatch {
+                trace_record: Some("out/rec".into()),
+                ..ConfigPatch::named("rec")
+            });
+            let err = grid.expand().err().expect("refused");
+            assert!(err.contains("\"rec\" sets trace_record"), "{err}");
+        }
     }
 
     #[test]

@@ -462,10 +462,11 @@ pub fn dynamic_mix() -> ExperimentSpec {
 /// `specs/traces/calculix_milc` recording run through S-NUCA and CDCS.
 ///
 /// The fixture is recorded by `crates/sim/tests/events.rs`
-/// (`CDCS_WRITE_TRACES=1`) under this exact pinned config with S-NUCA, so
-/// the S-NUCA replay cell reproduces the recording run bit-exactly; the
-/// CDCS cell replays the same logs under a different organization (the
-/// record-mode cushion absorbs its different draw count).
+/// (`CDCS_WRITE_TRACES=1`, through `cdcs_workload::trace::record`) under
+/// this exact pinned config with S-NUCA, so the S-NUCA replay cell
+/// reproduces the recording run bit-exactly; the CDCS cell replays the
+/// same logs under a different organization (the recording's cushion
+/// absorbs its different draw count).
 pub fn trace_replay() -> ExperimentSpec {
     let mut grid = GridSpec::new(
         BaseConfig::SmallTest,

@@ -152,3 +152,83 @@ fn deeply_nested_json_gets_400_and_the_daemon_survives() {
     healthz_ok(&addr);
     server.shutdown();
 }
+
+/// The quickstart spec on the small test chip, with `patch` as its only
+/// patch.
+fn small_spec(name: &str, patch: cdcs_sim::ConfigPatch) -> String {
+    let mut spec = cdcs_bench::specs::quickstart();
+    spec.set_base(cdcs_bench::exp::BaseConfig::SmallTest);
+    spec.name = name.into();
+    if let cdcs_bench::exp::SpecKind::Grid(grid) = &mut spec.kind {
+        grid.patches = vec![patch];
+    }
+    serde_json::to_string(&spec).expect("spec serializes")
+}
+
+#[test]
+fn a_spec_setting_trace_record_gets_400_and_writes_nothing() {
+    // `trace_record` is a wire key only: the simulator records nothing,
+    // so a spec that asks for a recording is refused before any cell runs
+    // and no directory appears at the path it names.
+    let server = JobServer::start("127.0.0.1:0", 1).expect("server");
+    let addr = server.addr().to_string();
+    let target = std::env::temp_dir().join(format!("cdcs-record-refused-{}", std::process::id()));
+    std::fs::remove_dir_all(&target).ok();
+    let patch = cdcs_sim::ConfigPatch {
+        trace_record: Some(target.to_string_lossy().into_owned()),
+        ..cdcs_sim::ConfigPatch::named("record")
+    };
+    let body = small_spec("record_refused", patch);
+    let response = cdcs_serve::http::request(&addr, "POST", "/jobs", &[], Some(&body))
+        .expect("daemon answers");
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("trace_record"), "{}", response.body);
+    assert!(
+        !target.exists(),
+        "a refused spec wrote {}",
+        target.display()
+    );
+    healthz_ok(&addr);
+    let report = server.shutdown();
+    assert_eq!(report.panicked_threads, 0);
+}
+
+#[test]
+fn replaying_dev_zero_fails_the_job_and_the_daemon_keeps_serving() {
+    // An unbounded read would allocate until the process is killed; the
+    // loader refuses non-regular files before reading them.
+    let server = JobServer::start("127.0.0.1:0", 1).expect("server");
+    let addr = server.addr().to_string();
+    let client = cdcs_serve::Client::new(addr.clone());
+    let patch = cdcs_sim::ConfigPatch::named("zero").with_trace_replay("/dev/zero");
+    let id = client
+        .submit(&small_spec("replay_dev_zero", patch))
+        .expect("submit");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let status = loop {
+        let status = client.status(id).expect("status");
+        if status.state.is_terminal() {
+            break status;
+        }
+        assert!(std::time::Instant::now() < deadline, "job never ended");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    };
+    assert_eq!(
+        status.state,
+        cdcs_serve::protocol::JobState::Failed,
+        "{status:?}"
+    );
+    let error = status.error.unwrap_or_default();
+    assert!(error.contains("not a regular file"), "{error}");
+    healthz_ok(&addr);
+    let after = small_spec("after_dev_zero", cdcs_sim::ConfigPatch::default());
+    client.submit(&after).expect("daemon still accepts jobs");
+    let report = server.shutdown_drain();
+    assert_eq!(report.panicked_threads, 0);
+    assert_eq!(
+        report.jobs.last().map(|j| j.state),
+        Some(cdcs_serve::protocol::JobState::Done),
+        "{:?}",
+        report.jobs
+    );
+}

@@ -69,10 +69,6 @@ pub struct SimConfig {
     /// LLC bank access latency, cycles (Table 2: 9).
     #[serde(default)]
     pub bank_latency: u32,
-    /// L2 hit latency, cycles (Table 2: 6) — folded into the base IPC of the
-    /// core model; kept for documentation/energy accounting.
-    #[serde(default)]
-    pub l2_latency: u32,
     /// Number of memory controllers (Table 2: 8).
     #[serde(default)]
     pub mem_controllers: usize,
@@ -185,14 +181,10 @@ pub struct SimConfig {
     /// steady-state.
     #[serde(default)]
     pub events: EventScript,
-    /// Directory to record per-thread access traces into (record mode
-    /// writes a `cdcs_workload::trace` index + binary logs at the end of
-    /// the run). Empty (default) disables recording.
-    #[serde(default)]
-    pub trace_record: String,
     /// Path to a recorded trace index (`index.json`) to replay instead of
     /// the synthetic generators; the trace's mix overrides the cell's.
-    /// Empty (default) disables replay.
+    /// Empty (default) disables replay. Traces are recorded outside the
+    /// simulator, from a finished run (`cdcs_workload::trace::record`).
     #[serde(default)]
     pub trace_replay: String,
 }
@@ -204,7 +196,6 @@ impl Default for SimConfig {
             bank_lines: 8192,
             noc: NocConfig::default(),
             bank_latency: 9,
-            l2_latency: 6,
             mem_controllers: 8,
             mem_zero_load: 120.0,
             mem_lines_per_cycle_per_ctrl: 0.1,
@@ -228,7 +219,6 @@ impl Default for SimConfig {
             hier_region_side: 0,
             hier_change_threshold: 0.0,
             events: EventScript::steady(),
-            trace_record: String::new(),
             trace_replay: String::new(),
         }
     }
@@ -370,9 +360,6 @@ impl SimConfig {
                     .into(),
             );
         }
-        if !self.trace_record.is_empty() && !self.trace_replay.is_empty() {
-            return Err("trace_record and trace_replay are mutually exclusive".into());
-        }
         if !self.trace_replay.is_empty() && !self.events.is_empty() {
             return Err(
                 "trace replay re-issues a recorded steady-state run; it cannot be combined \
@@ -453,7 +440,11 @@ pub struct ConfigPatch {
     /// Overrides [`SimConfig::events`].
     #[serde(default)]
     pub events: Option<EventScript>,
-    /// Overrides [`SimConfig::trace_record`].
+    /// Inert: read and written for wire compatibility only. Committed
+    /// specs and reports carry `"trace_record": null`, so dropping the key
+    /// would change their bytes. The simulator has no record mode (see
+    /// `cdcs_workload::trace::record`); grid expansion refuses a patch
+    /// that sets this key rather than ignore it silently.
     #[serde(default)]
     pub trace_record: Option<String>,
     /// Overrides [`SimConfig::trace_replay`].
@@ -531,9 +522,6 @@ impl ConfigPatch {
         }
         if let Some(v) = &self.events {
             config.events = v.clone();
-        }
-        if let Some(v) = &self.trace_record {
-            config.trace_record = v.clone();
         }
         if let Some(v) = &self.trace_replay {
             config.trace_replay = v.clone();
@@ -628,13 +616,6 @@ impl ConfigPatch {
     #[must_use]
     pub fn with_events(mut self, events: EventScript) -> Self {
         self.events = Some(events);
-        self
-    }
-
-    /// Fluent setter for [`SimConfig::trace_record`].
-    #[must_use]
-    pub fn with_trace_record(mut self, dir: impl Into<String>) -> Self {
-        self.trace_record = Some(dir.into());
         self
     }
 
@@ -736,13 +717,13 @@ mod tests {
     fn dynamic_knobs_default_off_and_tolerate_old_json() {
         let c = SimConfig::default();
         assert!(c.events.is_empty());
-        assert!(c.trace_record.is_empty() && c.trace_replay.is_empty());
+        assert!(c.trace_replay.is_empty());
         // Configs serialized before the event script existed (no dynamic
         // keys) must still deserialize with the knobs off. The fields are
         // the struct's last, so stripping them from the JSON tail
         // reconstructs a pre-event-script artifact exactly.
         let json = serde_json::to_string(&c).unwrap();
-        let tail = ",\"events\":{\"events\":[]},\"trace_record\":\"\",\"trace_replay\":\"\"";
+        let tail = ",\"events\":{\"events\":[]},\"trace_replay\":\"\"";
         let legacy = json.replace(tail, "");
         assert_ne!(legacy, json, "expected to strip the dynamic keys");
         let back: SimConfig = serde_json::from_str(&legacy).unwrap();
@@ -754,6 +735,22 @@ mod tests {
             let back: SimConfig = serde_json::from_str(&old).unwrap();
             assert_eq!(back, c, "engine = {engine}");
         }
+        // Likewise the removed `trace_record` (record mode left the
+        // simulator) and `l2_latency` (never read) keys.
+        let old = json.replace(
+            ",\"trace_replay\":",
+            ",\"trace_record\":\"out/t\",\"trace_replay\":",
+        );
+        assert_ne!(old, json, "expected to insert the trace_record key");
+        let back: SimConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, c, "trace_record");
+        let old = json.replace(
+            ",\"mem_controllers\":",
+            ",\"l2_latency\":6,\"mem_controllers\":",
+        );
+        assert_ne!(old, json, "expected to insert the l2_latency key");
+        let back: SimConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back, c, "l2_latency");
     }
 
     #[test]
@@ -770,12 +767,6 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(c.validate().is_ok());
-        let c = SimConfig {
-            trace_record: "out/t".into(),
-            trace_replay: "out/t/index.json".into(),
-            ..SimConfig::default()
-        };
-        assert!(c.validate().unwrap_err().contains("mutually exclusive"));
         // Replay re-issues a recorded steady-state run; a script on top of
         // it is a misconfiguration, not a silent no-op.
         let c = SimConfig {
@@ -789,11 +780,6 @@ mod tests {
             ..SimConfig::default()
         };
         assert!(c.validate().is_ok());
-        let c = SimConfig {
-            trace_record: "out/t".into(),
-            ..SimConfig::default()
-        };
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -802,15 +788,13 @@ mod tests {
             .with_engine(EngineMode::Event)
             .with_warmup_epochs(1)
             .with_measure_epochs(2)
-            .with_events(EventScript::generate(3, 100_000, 2))
-            .with_trace_record("out/rec");
+            .with_events(EventScript::generate(3, 100_000, 2));
         assert!(!patch.is_identity());
         let mut c = SimConfig::default();
         patch.apply(&mut c);
         assert_eq!(c.warmup_epochs, 1);
         assert_eq!(c.measure_epochs, 2);
         assert_eq!(c.events, EventScript::generate(3, 100_000, 2));
-        assert_eq!(c.trace_record, "out/rec");
         let replay = ConfigPatch::named("replay").with_trace_replay("specs/t/index.json");
         let mut c = SimConfig::default();
         replay.apply(&mut c);
@@ -821,6 +805,14 @@ mod tests {
             ConfigPatch::default().with_engine(engine).apply(&mut c);
             assert_eq!(c, SimConfig::default());
         }
+        // So is the trace_record key: no config field receives it.
+        let mut c = SimConfig::default();
+        let recording = ConfigPatch {
+            trace_record: Some("out/rec".into()),
+            ..ConfigPatch::default()
+        };
+        recording.apply(&mut c);
+        assert_eq!(c, SimConfig::default());
     }
 
     #[test]

@@ -31,7 +31,6 @@ use cdcs_core::{
 use cdcs_mesh::{
     DistanceTables, MemCtrlPlacement, PortDistanceTables, TileId, Topology, TrafficClass,
 };
-use cdcs_workload::trace::{write_trace, TraceRecord};
 use cdcs_workload::{
     AccessStream, StreamTarget, ThreadSource, TimedEvent, TraceSource, WorkloadEvent, WorkloadMix,
 };
@@ -504,9 +503,6 @@ pub struct Simulation {
     /// same sharded pipeline, drained in-thread with zero spawns (worker
     /// count never changes results, only wall clock).
     shard_seq_pool: rayon::ThreadPool,
-    /// `CDCS_DEBUG_RECONFIG` read once at construction (the lookup is a
-    /// syscall; it has no place inside the reconfiguration path).
-    debug_reconfig: bool,
     /// Whether monitor samples can still influence a decision. Monitor
     /// state is read in exactly one place — `build_problem` at a
     /// reconfiguration — so once the last reconfiguration of a run has
@@ -524,9 +520,6 @@ pub struct Simulation {
     /// Processes in the base mix; roster slots `>= base_processes` belong
     /// to scripted arrivals and start inactive.
     base_processes: usize,
-    /// The full roster mix, kept only when `trace_record` is set so
-    /// [`Self::finish`] can write it into the trace index.
-    record_mix: Option<WorkloadMix>,
 }
 
 impl Simulation {
@@ -545,23 +538,15 @@ impl Simulation {
         } else {
             Some(TraceSource::load(&config.trace_replay)?)
         };
-        let mut mix = match &replay {
+        let mix = match &replay {
             Some(src) => src.mix().clone(),
             None => mix,
         };
         // The roster is fixed at construction — scripted arrivals occupy
-        // process slots after the base mix (in time order, the order the
-        // engine activates them), so cores, VCs, and monitors exist from
-        // cycle 0 and no mid-run re-layout is needed.
+        // process slots after the base mix, so cores, VCs, and monitors
+        // exist from cycle 0 and no mid-run re-layout is needed.
         let base_processes = mix.processes().len();
-        for e in config.events.sorted() {
-            if let WorkloadEvent::Arrival { app } = &e.event {
-                let profile = cdcs_workload::spec::by_name(app)
-                    .ok_or_else(|| format!("unknown arrival app {app}"))?;
-                mix.push_process(profile.clone());
-            }
-        }
-        config.events.validate(mix.processes().len())?;
+        let mix = config.events.roster(mix)?;
         let total_threads = mix.total_threads();
         if total_threads > config.mesh.num_tiles() {
             return Err(format!(
@@ -584,7 +569,7 @@ impl Simulation {
             for tip in 0..app.threads {
                 let global_tid = threads.len() as u32;
                 vc_kinds.push(VcKind::thread_private(global_tid));
-                let mut source = match &replay {
+                let source = match &replay {
                     Some(src) => ThreadSource::replay(src.cursor(global_tid as usize)),
                     None => ThreadSource::synthetic(AccessStream::for_thread(
                         app,
@@ -592,9 +577,6 @@ impl Simulation {
                         mix.stream_seed(p, tip),
                     )),
                 };
-                if !config.trace_record.is_empty() {
-                    source.enable_tap();
-                }
                 threads.push(ThreadState {
                     process: p,
                     apki: app.apki,
@@ -697,11 +679,6 @@ impl Simulation {
         let avg_mc_round_trip =
             f64::from(config.noc.round_trip_latency(avg_mc_hops.round() as u32));
 
-        let record_mix = if config.trace_record.is_empty() {
-            None
-        } else {
-            Some(mix.clone())
-        };
         let memory = MemoryModel::new(config.mem_zero_load, config.total_mem_bandwidth());
         let base_params = SystemParams::new(
             config.mesh,
@@ -746,7 +723,6 @@ impl Simulation {
             shard: ShardScratch::default(),
             shard_pool,
             shard_seq_pool,
-            debug_reconfig: std::env::var("CDCS_DEBUG_RECONFIG").is_ok(),
             monitors_live: true,
             cycle: 0,
             traffic: cdcs_mesh::TrafficStats::new(),
@@ -756,7 +732,6 @@ impl Simulation {
             pending_pause: 0,
             last_placement: None,
             base_processes,
-            record_mix,
         };
         if sim.config.scheme.partitioned() {
             sim.bootstrap_placement();
@@ -925,15 +900,6 @@ impl Simulation {
                 }
                 return;
             }
-        }
-        if self.debug_reconfig {
-            eprintln!(
-                "reconfig@{}: cores[0..4] {:?} vc0 {:?} vc1 {:?}",
-                self.cycle,
-                &placement.thread_cores[..4.min(placement.thread_cores.len())],
-                placement.vc_banks(0),
-                placement.vc_banks(1),
-            );
         }
         self.cores.clear();
         self.cores.extend_from_slice(&placement.thread_cores);
@@ -1599,23 +1565,6 @@ impl Simulation {
     }
 
     fn finish(mut self) -> SimResult {
-        // Record mode: flush every thread's tap into the trace directory.
-        // The cushion (a quarter of the drawn accesses plus a floor) gives
-        // replays under other schemes — whose IPC feedback draws more or
-        // fewer accesses — headroom before the cursor would wrap.
-        if let Some(mix) = self.record_mix.take() {
-            let mut logs: Vec<(Vec<TraceRecord>, bool)> = Vec::with_capacity(self.threads.len());
-            for t in &mut self.threads {
-                let cushion = (t.metrics.accesses / 4 + 1024) as usize;
-                logs.push(
-                    t.source
-                        .finish_tap(cushion)
-                        .expect("trace_record set but tap disabled"),
-                );
-            }
-            write_trace(std::path::Path::new(&self.config.trace_record), &mix, &logs)
-                .unwrap_or_else(|e| panic!("writing trace to {}: {e}", self.config.trace_record));
-        }
         let move_stats = self.llc.stats;
         self.system.demand_moves = self.system.demand_moves.max(move_stats.demand_moves);
         self.system.background_invalidations = move_stats.background_invalidations;

@@ -82,7 +82,6 @@ pub(crate) struct MoveStats {
 pub(crate) struct Llc {
     banks: Vec<PartitionedBank>,
     mapping: Mapping,
-    bank_lines: u64,
     /// Lines displaced by the last reconfiguration, still serveable from
     /// their old location via demand moves: line → old bank, sharded by the
     /// line's **new** home bank (a pure function of the address at insert
@@ -195,7 +194,6 @@ impl Llc {
                 Some(p) => Mapping::RNuca(p),
                 None => Mapping::Hashed,
             },
-            bank_lines,
             old_lines: (0..num_banks).map(|_| FxHashMap::default()).collect(),
             shadow_start: 0,
             stats: MoveStats::default(),
@@ -215,17 +213,10 @@ impl Llc {
                 shadow: vec![None; num_vcs],
                 shadow_active: false,
             },
-            bank_lines,
             old_lines: (0..num_banks).map(|_| FxHashMap::default()).collect(),
             shadow_start: 0,
             stats: MoveStats::default(),
         }
-    }
-
-    /// Whether this LLC uses VC descriptors.
-    #[allow(dead_code)] // exercised by tests and kept for harness inspection
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self.mapping, Mapping::Vtb { .. })
     }
 
     /// Routes an access under the current mapping without touching any
@@ -544,16 +535,6 @@ impl Llc {
         self.old_lines.iter().map(|m| m.len()).sum()
     }
 
-    /// Aggregate hit/miss statistics across banks.
-    #[allow(dead_code)] // exercised by tests and kept for harness inspection
-    pub fn bank_stats(&self) -> cdcs_cache::BankStats {
-        let mut total = cdcs_cache::BankStats::default();
-        for b in &self.banks {
-            total.merge(&b.stats());
-        }
-        total
-    }
-
     /// Total lines resident.
     #[allow(dead_code)] // exercised by tests and kept for harness inspection
     pub fn occupancy(&self) -> usize {
@@ -571,12 +552,6 @@ impl Llc {
             .iter()
             .map(|b| b.partition_len(part) as u64)
             .sum()
-    }
-
-    /// Bank capacity in lines.
-    #[allow(dead_code)] // exercised by tests and kept for harness inspection
-    pub fn bank_lines(&self) -> u64 {
-        self.bank_lines
     }
 }
 

@@ -7,21 +7,25 @@
 //!    `engine: Batched`, `engine: Event` or no engine key gives the same
 //!    [`SimResult`], steady or scripted, across schemes and mixes, and
 //!    re-serializes to the bytes it was read from.
-//! 2. **Record → replay** — a run recorded with `trace_record` and
-//!    replayed from the trace alone (`trace_replay`, same config)
-//!    reproduces the original [`SimResult`] bit-exactly: the cursor yields
-//!    the recorded draws in order, so every downstream structure sees the
-//!    identical access sequence.
+//! 2. **Record → replay** — a finished run's trace, re-drawn by
+//!    `trace::record` from its roster and per-thread access counts and
+//!    written by `trace::write_trace`, replays from the trace alone
+//!    (`trace_replay`, same config) to the original [`SimResult`]
+//!    bit-exactly: the cursor yields the run's draws in order, so every
+//!    downstream structure sees the identical access sequence.
 //! 3. **Dynamic determinism** — a full scenario (arrival + burst + idle +
 //!    departure) is a pure function of the spec: two runs serialize to the
 //!    same bytes.
 //!
-//! The `CDCS_WRITE_TRACES=1` test at the bottom regenerates the committed
-//! `specs/traces/calculix_milc` fixture that `specs::trace_replay()` (and
-//! the CI dynamic smoke) replays.
+//! The committed `specs/traces/calculix_milc` fixture that
+//! `specs::trace_replay()` (and the CI dynamic smoke) replays is pinned
+//! byte for byte against a fresh recording; the `CDCS_WRITE_TRACES=1`
+//! test at the bottom regenerates it.
 
 use cdcs_sim::{ConfigPatch, EngineMode, Scheme, SimConfig, SimResult, Simulation};
+use cdcs_workload::trace;
 use cdcs_workload::{EventScript, MixSpec, TimedEvent, WorkloadEvent, WorkloadMix};
+use std::path::Path;
 
 fn mix(names: &[&str]) -> WorkloadMix {
     WorkloadMix::from_spec(&MixSpec::Named(
@@ -32,6 +36,16 @@ fn mix(names: &[&str]) -> WorkloadMix {
 
 fn run(config: SimConfig, names: &[&str]) -> SimResult {
     Simulation::new(config, mix(names)).expect("sim").run()
+}
+
+/// Records `result`'s trace the way any caller does: re-draw each roster
+/// thread's stream for as many accesses as the run drew, then write the
+/// logs into `dir`.
+fn record_trace(dir: &Path, config: &SimConfig, names: &[&str], result: &SimResult) {
+    let roster = config.events.roster(mix(names)).expect("roster");
+    let draws: Vec<u64> = result.threads.iter().map(|t| t.accesses).collect();
+    let logs = trace::record(&roster, &draws).expect("one draw count per thread");
+    trace::write_trace(dir, &roster, &logs).expect("trace written");
 }
 
 /// The committed trace fixture's recording config: `SimConfig::small_test`
@@ -98,32 +112,40 @@ fn engine_patch_key_is_inert_and_round_trips_byte_exactly() {
 #[test]
 fn record_then_replay_reproduces_the_run_bit_exactly() {
     let dir = std::env::temp_dir().join(format!("cdcs-trace-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    for scheme in [Scheme::SNuca, Scheme::cdcs()] {
-        let mut record = SimConfig::small_test();
-        record.scheme = scheme;
-        record.warmup_epochs = 1;
-        record.measure_epochs = 2;
-        record.trace_record = dir.to_string_lossy().into_owned();
-        let mut replay = record.clone();
-        replay.trace_record = String::new();
-        replay.trace_replay = dir.join("index.json").to_string_lossy().into_owned();
+    // `ilbdc` has a shared pattern, so the second mix pins the
+    // `next_access` path; the first is private-only (bulk draws).
+    let mixes: [&[&str]; 2] = [&["calculix", "milc"], &["omnet", "xalancbmk", "ilbdc"]];
+    for names in mixes {
+        for scheme in [Scheme::SNuca, Scheme::cdcs()] {
+            for reference_engine in [false, true] {
+                std::fs::remove_dir_all(&dir).ok();
+                let mut config = SimConfig::small_test();
+                config.scheme = scheme;
+                config.warmup_epochs = 1;
+                config.measure_epochs = 2;
+                config.reference_engine = reference_engine;
+                let recorded = run(config.clone(), names);
+                record_trace(&dir, &config, names, &recorded);
 
-        // Recording is a passive tap: the run itself is unchanged.
-        let recorded = run(record, &["calculix", "milc"]);
-        // The replay takes its mix from the trace index; the mix argument
-        // here is deliberately different to prove it is ignored.
-        let replayed = Simulation::new(replay, mix(&["omnet"]))
-            .expect("replay sim")
-            .run();
-        assert_eq!(
-            recorded,
-            replayed,
-            "replay from the trace alone diverged: {}",
-            scheme.name()
-        );
-        std::fs::remove_dir_all(&dir).ok();
+                // The replay takes its mix from the trace index; the mix
+                // argument here is deliberately different to prove it is
+                // ignored.
+                let mut replay = config;
+                replay.trace_replay = dir.join("index.json").to_string_lossy().into_owned();
+                let replayed = Simulation::new(replay, mix(&["omnet"]))
+                    .expect("replay sim")
+                    .run();
+                assert_eq!(
+                    recorded,
+                    replayed,
+                    "replay from the trace alone diverged: {} / {names:?} / reference {}",
+                    scheme.name(),
+                    reference_engine
+                );
+            }
+        }
     }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn dynamic_script() -> EventScript {
@@ -299,25 +321,46 @@ fn phase_changes_scale_apki_permanently() {
 
 /// Maintenance hook, not a check: `CDCS_WRITE_TRACES=1 cargo test -p
 /// cdcs-sim --test events` rewrites the committed replay fixture from the
-/// pinned recording config (the next test then verifies the result).
+/// pinned recording config (the next tests then verify the result).
 #[test]
 fn regenerate_committed_trace_fixture_when_asked() {
     if std::env::var("CDCS_WRITE_TRACES").is_err() {
         return;
     }
     std::fs::remove_dir_all(FIXTURE_DIR).ok();
-    let mut config = fixture_config();
-    config.trace_record = FIXTURE_DIR.to_string();
-    run(config, &["calculix", "milc"]);
+    let config = fixture_config();
+    let result = run(config.clone(), &["calculix", "milc"]);
+    record_trace(
+        Path::new(FIXTURE_DIR),
+        &config,
+        &["calculix", "milc"],
+        &result,
+    );
+}
+
+#[test]
+fn committed_trace_fixture_regenerates_byte_exactly() {
+    let config = fixture_config();
+    let result = run(config.clone(), &["calculix", "milc"]);
+    let dir = std::env::temp_dir().join(format!("cdcs-trace-regen-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    record_trace(&dir, &config, &["calculix", "milc"], &result);
+    for file in ["index.json", "t0.bin", "t1.bin"] {
+        let fresh = std::fs::read(dir.join(file)).expect("freshly recorded file");
+        let committed =
+            std::fs::read(Path::new(FIXTURE_DIR).join(file)).expect("committed fixture file");
+        assert!(
+            fresh == committed,
+            "specs/traces/calculix_milc/{file} differs from a fresh recording \
+             (regenerate with CDCS_WRITE_TRACES=1)"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn committed_trace_fixture_matches_its_recording_config() {
-    let mut record = fixture_config();
-    let dir = std::env::temp_dir().join(format!("cdcs-trace-fixture-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    record.trace_record = dir.to_string_lossy().into_owned();
-    let recorded = run(record, &["calculix", "milc"]);
+    let recorded = run(fixture_config(), &["calculix", "milc"]);
 
     // The committed fixture replays to the exact same result (so the
     // fixture is in lockstep with the recording config above — regenerate
@@ -331,5 +374,4 @@ fn committed_trace_fixture_matches_its_recording_config() {
         recorded, replayed,
         "specs/traces/calculix_milc drifted from its recording config"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -12,6 +12,7 @@
 //! alone, so two runs of the same `(config, mix, script)` triple are
 //! byte-identical.
 
+use crate::WorkloadMix;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -107,22 +108,33 @@ impl EventScript {
         self.events.is_empty()
     }
 
-    /// The arrival app names, in raw script order. Roster slots are
-    /// assigned in *time-sorted* order (see [`Self::sorted`]); this is a
-    /// listing helper, not the slot assignment.
-    pub fn arrivals(&self) -> impl Iterator<Item = &str> {
-        self.events.iter().filter_map(|e| match &e.event {
-            WorkloadEvent::Arrival { app } => Some(app.as_str()),
-            _ => None,
-        })
-    }
-
     /// The events sorted by due cycle, ties in script order (the order the
     /// engine applies them).
     pub fn sorted(&self) -> Vec<TimedEvent> {
         let mut events = self.events.clone();
         events.sort_by_key(|e| e.at_cycle);
         events
+    }
+
+    /// The roster this script runs over `mix`: the base processes, then
+    /// one per [`WorkloadEvent::Arrival`] in time-sorted order (the order
+    /// the engine activates them). The simulator provisions the whole
+    /// roster at construction; a recorded trace's logs follow it.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message for an unknown arrival app or a process index
+    /// outside the roster (see [`Self::validate`]).
+    pub fn roster(&self, mut mix: WorkloadMix) -> Result<WorkloadMix, String> {
+        for e in self.sorted() {
+            if let WorkloadEvent::Arrival { app } = &e.event {
+                let profile = crate::spec::by_name(app)
+                    .ok_or_else(|| format!("unknown arrival app {app}"))?;
+                mix.push_process(profile.clone());
+            }
+        }
+        self.validate(mix.processes().len())?;
+        Ok(mix)
     }
 
     /// Validates the script against a roster of `processes` processes
@@ -243,22 +255,46 @@ mod tests {
     }
 
     #[test]
-    fn arrivals_list_in_script_order() {
+    fn roster_appends_arrivals_in_time_order() {
+        let base = WorkloadMix::from_spec(&crate::MixSpec::Named(vec!["milc".into()])).unwrap();
         let script = EventScript {
             events: vec![
                 TimedEvent {
                     at_cycle: 9,
-                    event: WorkloadEvent::Arrival { app: "b".into() },
+                    event: WorkloadEvent::Arrival {
+                        app: "omnet".into(),
+                    },
                 },
                 TimedEvent {
                     at_cycle: 3,
-                    event: WorkloadEvent::Arrival { app: "a".into() },
+                    event: WorkloadEvent::Arrival {
+                        app: "ilbdc".into(),
+                    },
                 },
             ],
         };
-        // Raw script order — a listing helper; roster slots use sorted order.
-        let apps: Vec<&str> = script.arrivals().collect();
-        assert_eq!(apps, ["b", "a"]);
+        let roster = script.roster(base.clone()).unwrap();
+        let names: Vec<&str> = roster.processes().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["milc", "ilbdc", "omnet"]);
+        assert_eq!(roster.stream_seed(0, 0), base.stream_seed(0, 0));
+        assert_eq!(EventScript::steady().roster(base.clone()).unwrap(), base);
+        let unknown = EventScript {
+            events: vec![TimedEvent {
+                at_cycle: 0,
+                event: WorkloadEvent::Arrival { app: "nope".into() },
+            }],
+        };
+        assert!(unknown.roster(base.clone()).unwrap_err().contains("nope"));
+        let out_of_range = EventScript {
+            events: vec![TimedEvent {
+                at_cycle: 0,
+                event: WorkloadEvent::Departure { process: 1 },
+            }],
+        };
+        assert!(out_of_range
+            .roster(base)
+            .unwrap_err()
+            .contains("out of range"));
     }
 
     #[test]

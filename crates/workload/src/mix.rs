@@ -142,22 +142,17 @@ impl WorkloadMix {
         &self.processes
     }
 
-    /// Appends a process to the mix (the simulator extends the roster
-    /// with one slot per scripted arrival before construction). Stream
-    /// seeds of existing processes are unaffected — [`Self::stream_seed`]
-    /// depends only on the mix seed and the process/thread indices.
-    pub fn push_process(&mut self, app: AppProfile) {
+    /// Appends a process to the mix ([`crate::EventScript::roster`] adds
+    /// one slot per scripted arrival). Stream seeds of existing processes
+    /// are unaffected — [`Self::stream_seed`] depends only on the mix seed
+    /// and the process/thread indices.
+    pub(crate) fn push_process(&mut self, app: AppProfile) {
         self.processes.push(app);
     }
 
     /// Total thread count across all processes.
     pub fn total_threads(&self) -> usize {
         self.processes.iter().map(|p| p.threads).sum()
-    }
-
-    /// The mix seed; per-thread stream seeds are derived from it.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Deterministic stream seed for thread `t` of process `p`.
